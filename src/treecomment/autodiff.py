@@ -1,9 +1,19 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The graph is dynamic: every traced operation appends a backward closure to
-the output tensor, and ``backward()`` on a scalar replays the closures in
-reverse topological order. Graphs are rebuilt per example (tree shapes vary),
-consumed by the backward pass, and never shared between threads.
+The graph is dynamic and rebuilt per example (tree shapes vary). A traced
+operation records three things on its output: the input tensors
+(``_parents``), a module-level backward function (``_backward``) and at most
+one small context value the forward result does not already hold
+(``_ctx``: a scalar factor, an index array or a divisor). ``backward()`` on
+a scalar calls ``_backward(node, node.grad, node._parents)`` for every
+traced ancestor in reverse topological order, then clears the three slots so
+a tape is never replayed twice. Graphs are never shared between threads.
+
+No operation creates a function object, and a tensor refers only to its
+inputs, never to itself or to anything downstream. A graph is therefore
+acyclic as a set of Python objects, and reference counting frees it as soon
+as its last tensor is dropped, whether or not ``backward()`` ran; the cycle
+collector has nothing to find.
 
 Only the handful of operations the tree encoder / decoder actually need are
 provided; there is no broadcasting beyond scalar multiples and no GPU path.
@@ -36,10 +46,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A numpy float64 array plus an optional gradient slot.
 
@@ -47,7 +53,7 @@ class Tensor:
     traced whenever any input is traced and recording is enabled.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_ctx", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data, dtype=np.float64)
@@ -55,6 +61,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._ctx = None
         self.name = name
 
     @property
@@ -80,32 +87,39 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every traced ancestor of this scalar.
 
-        The traversal consumes the graph: parent links and closures are
-        dropped afterwards so a tape is never replayed twice.
+        The traversal consumes the graph: parent links, backward functions
+        and contexts are dropped afterwards so a tape is never replayed twice.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
+        # iterative depth-first post-order; ``expanded`` runs parallel to
+        # ``stack`` and marks entries whose parents were already pushed
         topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        seen: set[Tensor] = set()  # tensors hash by identity
+        stack: list[Tensor] = [self]
+        expanded: list[bool] = [False]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
+            node = stack.pop()
+            if expanded.pop():
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
+            seen.add(node)
+            stack.append(node)
+            expanded.append(True)
             for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+                if parent not in seen:
+                    stack.append(parent)
+                    expanded.append(False)
         self._accumulate(np.ones((), dtype=np.float64))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
-            node._parents = ()
-            node._backward = None
+            fn = node._backward
+            if fn is not None:
+                fn(node, node.grad, node._parents)
+                node._parents = ()
+                node._backward = None
+                node._ctx = None
 
     def __add__(self, other):
         return add(self, _lift(other, self))
@@ -140,68 +154,160 @@ def _lift(x, like: Tensor) -> Tensor:
     return Tensor(np.full_like(like.data, float(x)))
 
 
-def _traced(*inputs: Tensor) -> bool:
-    # traced outputs get requires_grad=True, so one flag covers leaves and
-    # intermediates alike
-    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward, ctx=None) -> Tensor:
+    """Wrap ``data``; record ``inputs``, ``backward`` and ``ctx`` when traced.
 
-
-def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward) -> Tensor:
+    Traced outputs get requires_grad=True, so one flag covers leaves and
+    intermediates alike.
+    """
     out = Tensor(data)
-    if _traced(*inputs):
-        out.requires_grad = True
-        out._parents = inputs
-        out._backward = backward(out)
+    if _GRAD_ENABLED:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._parents = inputs
+                out._backward = backward
+                out._ctx = ctx
+                break
     return out
 
 
+# Backward functions: ``fn(out, g, parents)`` adds each input's share of the
+# output gradient ``g`` into that input. They read the forward result from
+# ``out.data`` and any other saved value from ``out._ctx``.
+
+def _add_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(g)
+    b._accumulate(g)
+
+
+def _sub_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(g)
+    b._accumulate(-g)
+
+
+def _mul_scalar_bw(out, g, parents):
+    parents[0]._accumulate(out._ctx * g)
+
+
+def _mul_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(b.data * g)
+    b._accumulate(a.data * g)
+
+
+def _div_bw(out, g, parents):
+    a, s = parents
+    denom = out._ctx
+    a._accumulate(g / denom)
+    s._accumulate(np.asarray(-(g * a.data).sum() / denom ** 2))
+
+
+def _matvec_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(g[:, None] * b.data)  # np.outer without its wrapper
+    b._accumulate(a.data.T @ g)
+
+
+def _matmat_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(g @ b.data.T)
+    b._accumulate(a.data.T @ g)
+
+
+def _dot_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(g * b.data)
+    b._accumulate(g * a.data)
+
+
+def _transpose_bw(out, g, parents):
+    parents[0]._accumulate(g.T)
+
+
+def _concat_bw(out, g, parents):
+    lo = 0
+    for p in parents:
+        hi = lo + p.data.size
+        p._accumulate(g[lo:hi])
+        lo = hi
+
+
+def _stack_rows_bw(out, g, parents):
+    for i, r in enumerate(parents):
+        r._accumulate(g[i])
+
+
+def _sigmoid_bw(out, g, parents):
+    y = out.data
+    parents[0]._accumulate(g * y * (1.0 - y))
+
+
+def _tanh_bw(out, g, parents):
+    y = out.data
+    parents[0]._accumulate(g * (1.0 - y * y))
+
+
+def _softmax_bw(out, g, parents):
+    # dx_i = y_i *(g_i - <g, y>); masked entries have y_i = 0 and stay zero
+    y = out.data
+    parents[0]._accumulate(y * (g - float(g @ y)))
+
+
+def _log_bw(out, g, parents):
+    x = parents[0]
+    x._accumulate(g / x.data)
+
+
+def _sumall_bw(out, g, parents):
+    x = parents[0]
+    x._accumulate(np.full_like(x.data, float(g)))
+
+
+def _at_bw(out, g, parents):
+    x = parents[0]
+    full = np.zeros_like(x.data)
+    full[out._ctx] = float(g)
+    x._accumulate(full)
+
+
+def _take_bw(out, g, parents):
+    x = parents[0]
+    full = np.zeros_like(x.data)
+    np.add.at(full, out._ctx, g)
+    x._accumulate(full)
+
+
+def _embedding_mean_bw(out, g, parents):
+    table = parents[0]
+    idx = out._ctx
+    full = np.zeros_like(table.data)
+    np.add.at(full, idx, g * (1.0 / len(idx)))
+    table._accumulate(full)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-
-    def bw(out):
-        def run():
-            a._accumulate(out.grad)
-            b._accumulate(out.grad)
-        return run
-
-    return _result(a.data + b.data, (a, b), bw)
+    return _result(a.data + b.data, (a, b), _add_bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-
-    def bw(out):
-        def run():
-            a._accumulate(out.grad)
-            b._accumulate(-out.grad)
-        return run
-
-    return _result(a.data - b.data, (a, b), bw)
+    return _result(a.data - b.data, (a, b), _sub_bw)
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; ``b`` may be a same-shape Tensor or a python float."""
     if not isinstance(b, Tensor):
         k = float(b)
-
-        def bw_scalar(out):
-            def run():
-                a._accumulate(k * out.grad)
-            return run
-
-        return _result(a.data * k, (a,), bw_scalar)
-    if a.shape != b.shape:
+        return _result(a.data * k, (a,), _mul_scalar_bw, k)
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-
-    def bw(out):
-        def run():
-            a._accumulate(b.data * out.grad)
-            b._accumulate(a.data * out.grad)
-        return run
-
-    return _result(a.data * b.data, (a, b), bw)
+    return _result(a.data * b.data, (a, b), _mul_bw)
 
 
 def div(a: Tensor, s: Tensor) -> Tensor:
@@ -209,14 +315,7 @@ def div(a: Tensor, s: Tensor) -> Tensor:
     if s.shape != ():
         raise ShapeError(f"div: divisor must be scalar, got {s.shape}")
     denom = float(s.data)
-
-    def bw(out):
-        def run():
-            a._accumulate(out.grad / denom)
-            s._accumulate(np.asarray(-(out.grad * a.data).sum() / denom ** 2))
-        return run
-
-    return _result(a.data / denom, (a, s), bw)
+    return _result(a.data / denom, (a, s), _div_bw, denom)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -224,69 +323,33 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"matmul: left operand must be 2-D, got {a.shape}")
     if b.data.ndim == 1:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-
-        def bw_vec(out):
-            def run():
-                a._accumulate(np.outer(out.grad, b.data))
-                b._accumulate(a.data.T @ out.grad)
-            return run
-
-        return _result(a.data @ b.data, (a, b), bw_vec)
-    if b.data.ndim == 2:
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-
-        def bw_mat(out):
-            def run():
-                a._accumulate(out.grad @ b.data.T)
-                b._accumulate(a.data.T @ out.grad)
-            return run
-
-        return _result(a.data @ b.data, (a, b), bw_mat)
-    raise ShapeError(f"matmul: unsupported right operand shape {b.shape}")
+        backward = _matvec_bw
+    elif b.data.ndim == 2:
+        backward = _matmat_bw
+    else:
+        raise ShapeError(f"matmul: unsupported right operand shape {b.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    return _result(a.data @ b.data, (a, b), backward)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or a.shape != b.shape:
+    if a.data.ndim != 1 or a.data.shape != b.data.shape:
         raise ShapeError(f"dot: {a.shape} vs {b.shape}")
-
-    def bw(out):
-        def run():
-            a._accumulate(out.grad * b.data)
-            b._accumulate(out.grad * a.data)
-        return run
-
-    return _result(np.asarray(a.data @ b.data), (a, b), bw)
+    return _result(np.asarray(a.data @ b.data), (a, b), _dot_bw)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: need 2-D, got {a.shape}")
-
-    def bw(out):
-        def run():
-            a._accumulate(out.grad.T)
-        return run
-
-    return _result(a.data.T.copy(), (a,), bw)
+    return _result(a.data.T.copy(), (a,), _transpose_bw)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(parts)
     if not parts or any(p.data.ndim != 1 for p in parts):
         raise ShapeError("concat: needs one or more 1-D tensors")
-    sizes = [p.size for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw(out):
-        def run():
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                p._accumulate(out.grad[lo:hi])
-        return run
-
-    return _result(np.concatenate([p.data for p in parts]), parts, bw)
+    return _result(np.concatenate([p.data for p in parts]), parts, _concat_bw)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -296,36 +359,15 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
         raise ShapeError("stack_rows: needs one or more 1-D tensors")
     if len({r.size for r in rows}) != 1:
         raise ShapeError("stack_rows: rows differ in length")
-
-    def bw(out):
-        def run():
-            for i, r in enumerate(rows):
-                r._accumulate(out.grad[i])
-        return run
-
-    return _result(np.stack([r.data for r in rows]), rows, bw)
+    return _result(np.stack([r.data for r in rows]), rows, _stack_rows_bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bw(out):
-        def run():
-            x._accumulate(out.grad * y * (1.0 - y))
-        return run
-
-    return _result(y, (x,), bw)
+    return _result(1.0 / (1.0 + np.exp(-x.data)), (x,), _sigmoid_bw)
 
 
 def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-
-    def bw(out):
-        def run():
-            x._accumulate(out.grad * (1.0 - y * y))
-        return run
-
-    return _result(y, (x,), bw)
+    return _result(np.tanh(x.data), (x,), _tanh_bw)
 
 
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
@@ -351,66 +393,31 @@ def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
         kept = x.data[keep]
         z = np.exp(kept - kept.max())
         y[keep] = z / z.sum()
-
-    def bw(out):
-        def run():
-            # dx_i = y_i *(g_i - <g, y>); zero rows stay zero automatically
-            x._accumulate(y * (out.grad - float(out.grad @ y)))
-        return run
-
-    return _result(y, (x,), bw)
+    return _result(y, (x,), _softmax_bw)
 
 
 def log(x: Tensor) -> Tensor:
     if np.any(x.data <= 0.0):
         raise ValueError("log: input has non-positive entries")
-    y = np.log(x.data)
-
-    def bw(out):
-        def run():
-            x._accumulate(out.grad / x.data)
-        return run
-
-    return _result(y, (x,), bw)
+    return _result(np.log(x.data), (x,), _log_bw)
 
 
 def sumall(x: Tensor) -> Tensor:
-    def bw(out):
-        def run():
-            x._accumulate(np.full_like(x.data, float(out.grad)))
-        return run
-
-    return _result(np.asarray(x.data.sum()), (x,), bw)
+    return _result(np.asarray(x.data.sum()), (x,), _sumall_bw)
 
 
 def at(x: Tensor, i: int) -> Tensor:
     """Scalar view of one entry of a 1-D tensor."""
     if x.data.ndim != 1:
         raise ShapeError(f"at: need 1-D, got {x.shape}")
-
-    def bw(out):
-        def run():
-            g = np.zeros_like(x.data)
-            g[i] = float(out.grad)
-            x._accumulate(g)
-        return run
-
-    return _result(np.asarray(x.data[i]), (x,), bw)
+    return _result(np.asarray(x.data[i]), (x,), _at_bw, i)
 
 
 def take(x: Tensor, indices: Iterable[int]) -> Tensor:
     idx = np.asarray(list(indices), dtype=np.intp)
     if x.data.ndim != 1:
         raise ShapeError(f"take: need 1-D, got {x.shape}")
-
-    def bw(out):
-        def run():
-            g = np.zeros_like(x.data)
-            np.add.at(g, idx, out.grad)
-            x._accumulate(g)
-        return run
-
-    return _result(x.data[idx], (x,), bw)
+    return _result(x.data[idx], (x,), _take_bw, idx)
 
 
 def embedding_mean(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -420,16 +427,7 @@ def embedding_mean(table: Tensor, ids: Sequence[int]) -> Tensor:
     if len(ids) == 0:
         return Tensor(np.zeros(table.shape[1]))
     idx = np.asarray(ids, dtype=np.intp)
-    inv = 1.0 / len(ids)
-
-    def bw(out):
-        def run():
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad * inv)
-            table._accumulate(g)
-        return run
-
-    return _result(table.data[idx].mean(axis=0), (table,), bw)
+    return _result(table.data[idx].mean(axis=0), (table,), _embedding_mean_bw, idx)
 
 
 def finite_difference_check(loss_fn, params, epsilon: float = 1e-5,

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks, metrics
+from .autodiff import no_grad
 from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examples,
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
                      source_token_stream, tokenize_comment)
@@ -226,8 +227,9 @@ def cmd_generate(args) -> int:
     try:
         for i, ex in enumerate(examples):
             trace: list | None = [] if trace_fh else None
-            tokens = decoder.decode_greedy(encoder.encode(ex.tree), ex.tree,
-                                           max_len=args.max_len, trace=trace)
+            with no_grad():
+                tokens = decoder.decode_greedy(encoder.encode(ex.tree), ex.tree,
+                                               max_len=args.max_len, trace=trace)
             print(" ".join(tokens))
             if trace_fh:
                 for entry in trace:

@@ -17,6 +17,8 @@ import numpy as np
 from .autodiff import Tensor
 
 CHECKPOINT_VERSION = 1
+# parameters are vectors and matrices; a rank far above that is a corrupt file
+MAX_RANK = 8
 
 
 def xavier_init(shape, rng: np.random.Generator) -> Tensor:
@@ -54,19 +56,14 @@ class ParamStore:
         self.seed = seed
         self._entries: dict[str, Tensor] = {}
 
-    def get(self, name: str, shape, init: str = "xavier") -> Tensor:
-        """Return the named tensor, creating it deterministically if absent."""
+    def get(self, name: str, shape) -> Tensor:
+        """Return the named tensor, Xavier-initialized from its name if absent."""
         t = self._entries.get(name)
         if t is not None:
             if t.shape != tuple(shape):
                 raise ValueError(f"parameter {name!r}: shape {t.shape} != requested {tuple(shape)}")
             return t
-        if init == "xavier":
-            t = xavier_init(shape, _name_rng(self.seed, name))
-        elif init == "zeros":
-            t = Tensor(np.zeros(shape), requires_grad=True)
-        else:
-            raise ValueError(f"unknown init {init!r}")
+        t = xavier_init(shape, _name_rng(self.seed, name))
         t.name = name
         t.zero_grad()
         self._entries[name] = t
@@ -190,17 +187,38 @@ def save_checkpoint(store: ParamStore, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read back what ``save_checkpoint`` wrote.
+
+    Any other file raises ``ValueError``: an unknown version, a field cut
+    short, a rank above ``MAX_RANK``, dimensions whose values run past the end
+    of the file, or bytes left over after the last record.
+    """
     with open(path, "rb") as fh:
-        version, count = struct.unpack("<IQ", fh.read(12))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            n = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(dims)
-            arrays[name] = data.astype(np.float64)
-        return arrays
+        buf = fh.read()
+    pos = 0
+
+    def take(n: int, field: str) -> bytes:
+        nonlocal pos
+        left = len(buf) - pos
+        if n > left:
+            raise ValueError(f"checkpoint {path}: {field} at byte {pos} needs "
+                             f"{n} bytes, only {left} left")
+        pos += n
+        return buf[pos - n:pos]
+
+    version, count = struct.unpack("<IQ", take(12, "header"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    arrays: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = take(name_len, "name").decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        if rank > MAX_RANK:
+            raise ValueError(f"checkpoint {path}: {name!r} has implausible rank {rank}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dimensions of {name!r}"))
+        raw = take(8 * math.prod(dims), f"values of {name!r} (dimensions {dims})")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+    if pos != len(buf):
+        raise ValueError(f"checkpoint {path}: {len(buf) - pos} bytes after the last record")
+    return arrays

@@ -346,7 +346,9 @@ def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
 
 def greedy_candidates(examples: Sequence[Example], encoder: TreeEncoder,
                       decoder: TreeDecoder) -> list[list[str]]:
-    return [decoder.decode_greedy(encoder.encode(ex.tree), ex.tree) for ex in examples]
+    with ad.no_grad():
+        return [decoder.decode_greedy(encoder.encode(ex.tree), ex.tree)
+                for ex in examples]
 
 
 def token_accuracy(examples: Sequence[Example], candidates: Sequence[Sequence[str]]) -> float:

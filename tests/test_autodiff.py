@@ -104,10 +104,18 @@ class TestBackward:
         assert np.array_equal(grads[0], grads[1])
 
     def test_graph_consumed_after_backward(self):
-        w = leaf([1.0])
-        out = ad.sumall(ad.mul(w, w))
-        out.backward()
-        assert out._parents == () and out._backward is None
+        params = op_params()
+        losses = [op_loss(params) for op_loss in OP_LOSSES.values()]
+        loss = losses[0]
+        for term in losses[1:]:
+            loss = ad.add(loss, term)
+        nodes = tape(loss)
+        recorded = {n._backward for n in nodes} - {None}
+        assert recorded == {getattr(ad, name) for name in dir(ad) if name.endswith("_bw")}
+        assert any(n._ctx is not None for n in nodes)
+        loss.backward()
+        for n in nodes:
+            assert n._parents == () and n._backward is None and n._ctx is None
 
     def test_diamond_dependency_accumulates(self):
         # y = w*w + w: dy/dw = 2w + 1
@@ -125,6 +133,74 @@ class TestBackward:
         err = finite_difference_check(loss, {"a": a}, epsilon=1e-6,
                                       max_coords_per_param=3)
         assert err < 1e-4
+
+
+def tape(loss):
+    """Every tensor reachable from ``loss`` through parent links."""
+    seen = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def op_params():
+    rng = np.random.default_rng(3)
+    return {
+        "x": leaf(rng.normal(size=4)),
+        "y": leaf(rng.normal(size=4)),
+        "pos": leaf(rng.uniform(0.5, 2.0, size=4)),
+        "m": leaf(rng.normal(size=(3, 4))),
+        "n": leaf(rng.normal(size=(4, 2))),
+        "table": leaf(rng.normal(size=(5, 3))),
+    }
+
+
+def weighted(t):
+    """A scalar that weights every entry of ``tanh(t)`` differently, so a
+    gradient routed to the wrong entry changes the result."""
+    weights = np.linspace(0.5, 1.5, t.size).reshape(t.shape)
+    return ad.sumall(ad.mul(ad.tanh(t), Tensor(weights)))
+
+
+# one probe loss per traced operation (both forms of mul and matmul)
+OP_LOSSES = {
+    "add": lambda p: weighted(ad.add(p["x"], p["y"])),
+    "sub": lambda p: weighted(ad.sub(p["x"], p["y"])),
+    "mul": lambda p: weighted(ad.mul(p["x"], p["y"])),
+    "mul_scalar": lambda p: weighted(ad.mul(p["x"], -1.7)),
+    "div": lambda p: weighted(ad.div(p["x"], ad.sumall(p["pos"]))),
+    "matmul_vector": lambda p: weighted(ad.matmul(p["m"], p["x"])),
+    "matmul_matrix": lambda p: weighted(ad.matmul(p["m"], p["n"])),
+    "dot": lambda p: weighted(ad.dot(p["x"], p["y"])),
+    "transpose": lambda p: weighted(ad.transpose(p["m"])),
+    "concat": lambda p: weighted(ad.concat([p["x"], p["y"], p["x"]])),
+    "stack_rows": lambda p: weighted(ad.stack_rows([p["x"], p["y"], p["x"]])),
+    "sigmoid": lambda p: weighted(ad.sigmoid(p["x"])),
+    "tanh": lambda p: weighted(ad.tanh(p["x"])),
+    "softmax": lambda p: weighted(ad.softmax(p["x"])),
+    "softmax_masked": lambda p: weighted(
+        ad.softmax(p["x"], keep=np.array([True, False, True, True]))),
+    "log": lambda p: weighted(ad.log(p["pos"])),
+    "sumall": lambda p: weighted(ad.sumall(p["m"])),
+    "at": lambda p: weighted(ad.at(p["x"], 2)),
+    "take_repeated": lambda p: weighted(ad.take(p["x"], [2, 0, 2, 2])),
+    "embedding_mean": lambda p: weighted(ad.embedding_mean(p["table"], [4, 1, 4])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OP_LOSSES))
+def test_each_operation_matches_finite_differences(op):
+    params = op_params()
+    used = {name: params[name] for name in sorted(params)
+            if any(t is params[name] for t in tape(OP_LOSSES[op](params)))}
+    assert used
+    err = finite_difference_check(lambda: OP_LOSSES[op](params), used,
+                                  epsilon=1e-6, max_coords_per_param=12)
+    assert err < 1e-6, f"{op}: {err}"
 
 
 class TestPrimitiveJacobians:

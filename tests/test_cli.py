@@ -1,4 +1,6 @@
 import json
+import shutil
+import struct
 
 import pytest
 
@@ -170,6 +172,49 @@ class TestTrainGenerateEvaluate:
         code, _, err = run(["evaluate", "--candidates", str(cand),
                             "--references", str(ref)], capsys)
         assert code == 2
+
+
+def _set_u32(raw: bytes, offset: int, value: int) -> bytes:
+    return raw[:offset] + struct.pack("<I", value) + raw[offset + 4:]
+
+
+def _first_rank_offset(raw: bytes) -> int:
+    # header (u32 version, u64 count), then u32 name length and the name
+    (name_len,) = struct.unpack_from("<I", raw, 12)
+    return 16 + name_len
+
+
+CORRUPTIONS = {
+    "cut-in-header": lambda raw: raw[:6],
+    "cut-in-name-length": lambda raw: raw[:14],
+    "cut-in-name": lambda raw: raw[:20],
+    "cut-in-values": lambda raw: raw[:-3],
+    "trailing-bytes": lambda raw: raw + b"\0\0",
+    "implausible-rank": lambda raw: _set_u32(raw, _first_rank_offset(raw), 1000),
+    "implausible-dimension": lambda raw: _set_u32(raw, _first_rank_offset(raw) + 4, 2 ** 31),
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.fixture(scope="class")
+    def trained_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("trained")
+        corpus = root / "corpus.jsonl"
+        save_corpus_jsonl(generate_synthetic(8, seed=1), corpus, "sql")
+        assert cli.main(train_args(corpus, root / "run")) == 0
+        return corpus, root / "run"
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_generate_exits_two(self, corruption, trained_run, tmp_path, capsys):
+        corpus, source = trained_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(source, run_dir)
+        checkpoint = run_dir / "checkpoint.bin"
+        checkpoint.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(corpus)], capsys)
+        assert code == 2, err
+        assert out == "" and "checkpoint" in err
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from treecomment.encoder import hidden_matrix
 from treecomment.params import AdamState, adam_step
 from treecomment.parsers import parse_sql
 from treecomment.training import (Baseline, GUARD_LOGP, TrainConfig, config_from_text,
-                                  config_to_text, hrl_loss, mle_loss, mle_weight,
-                                  mixed_loss, quantize_reward, reward_function,
+                                  config_to_text, greedy_candidates, hrl_loss, mle_loss,
+                                  mle_weight, mixed_loss, quantize_reward, reward_function,
                                   segment_target, shaped_rewards, step_rewards, train)
 
 BLEU = reward_function("bleu4")
@@ -257,6 +258,31 @@ class TestMixedLoss:
         _, parts1 = mixed_loss(ex, encoder, decoder, 10, cfg,
                                np.random.default_rng(0), Baseline())
         assert parts1["mu"] == 0.0 and parts1["loss_mle"] is None
+
+
+class TestTapeIsAcyclic:
+    """A dropped graph is freed by reference counting alone: with the cycle
+    collector off, building a graph and dropping it leaves nothing for a
+    later collection to find."""
+
+    @pytest.mark.parametrize("build", [
+        lambda ex, enc, dec: mle_loss(ex, enc, dec),
+        lambda ex, enc, dec: hrl_loss(ex, enc, dec, np.random.default_rng(0),
+                                      reward_function("bleu4"), 0.0),
+        lambda ex, enc, dec: greedy_candidates([ex], enc, dec),
+    ], ids=["mle_loss", "hrl_loss", "greedy_candidates"])
+    def test_dropped_graph_leaves_no_cycles(self, build):
+        _, encoder, decoder = make_model(seed=40, target_extra=("hello",))
+        ex = Example(tree=parse_sql("SELECT col FROM t WHERE a = 'v'"),
+                     comment=("hello", "v"))
+        build(ex, encoder, decoder)  # creates the parameters the graph reads
+        gc.collect()
+        gc.disable()
+        try:
+            build(ex, encoder, decoder)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConfig:
