@@ -5,6 +5,7 @@
 
 import numpy as np
 
+from treecomment.autodiff import no_grad
 from treecomment.corpus import build_vocab
 from treecomment.decoder import DecoderConfig, TreeDecoder
 from treecomment.encoder import EncoderConfig, TreeEncoder, hidden_matrix
@@ -57,6 +58,7 @@ for entry in trace:
     print(f"  step {entry['step']}: action={entry['action']} emitted={entry['emitted']}")
 
 # sampled decoding records per-step log-probabilities for policy gradients
-traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
+with no_grad():
+    traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
 print("\nsampled tokens:", traj.tokens)
 print("trajectory log-probability:", round(traj.logprob(), 4))

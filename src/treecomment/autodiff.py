@@ -4,10 +4,19 @@ The graph is dynamic and rebuilt per example (tree shapes vary). A traced
 operation records three things on its output: the input tensors
 (``_parents``), a module-level backward function (``_backward``) and at most
 one small context value the forward result does not already hold
-(``_ctx``: a scalar factor, an index array or a divisor). ``backward()`` on
-a scalar calls ``_backward(node, node.grad, node._parents)`` for every
-traced ancestor in reverse topological order, then clears the three slots so
-a tape is never replayed twice. Graphs are never shared between threads.
+(``_ctx``: a scalar factor, an index array, a divisor, or the gate values of
+a fused cell). ``backward()`` on a scalar calls
+``_backward(node, node.grad, node._parents)`` for every traced ancestor in
+reverse topological order, then clears the three slots so a tape is never
+replayed twice. The walk pushes only traced tensors; leaves just receive
+gradients. Graphs are never shared between threads.
+
+Most of the cost of a tape is Python bookkeeping per op, not arithmetic, so
+the two recurrent cells are fused: ``lstm_cell`` (one decoder step) and
+``tree_lstm_node`` (one encoder node) each record a single op whose forward
+evaluates the same numpy expressions, in the same order, as the per-gate
+composition of primitives, and whose backward is written by hand. Each
+returns the matrix ``[h; c]``; ``row`` splits it into the two states.
 
 No operation creates a function object, and a tensor refers only to its
 inputs, never to itself or to anything downstream. A graph is therefore
@@ -98,6 +107,8 @@ class Tensor:
         seen: set[Tensor] = set()  # tensors hash by identity
         stack: list[Tensor] = [self]
         expanded: list[bool] = [False]
+        # Leaves (no ``_backward``) are never pushed: they only receive
+        # gradients, so their place in the order does not matter.
         while stack:
             node = stack.pop()
             if expanded.pop():
@@ -109,7 +120,7 @@ class Tensor:
             stack.append(node)
             expanded.append(True)
             for parent in node._parents:
-                if parent not in seen:
+                if parent._backward is not None and parent not in seen:
                     stack.append(parent)
                     expanded.append(False)
         self._accumulate(np.ones((), dtype=np.float64))
@@ -288,6 +299,67 @@ def _embedding_mean_bw(out, g, parents):
     table._accumulate(full)
 
 
+def _row_bw(out, g, parents):
+    m = parents[0]
+    if m.grad is None:
+        m.grad = np.zeros_like(m.data)
+    m.grad[out._ctx] += g
+
+
+def _affine_maps_grads(das, x, hs, maps):
+    """Accumulate the gradients of the affine maps ``W @ x + b + sum_j U_j @
+    h_j``, one (W, b, (U_1 .. U_n)) triple in ``maps`` per pre-activation
+    gradient in ``das``. Returns the gradients of ``x`` and of each ``h_j``."""
+    dx = np.zeros_like(x.data)
+    dhs = [np.zeros_like(h.data) for h in hs]
+    for da, (w, b, us) in zip(das, maps):
+        w._accumulate(da[:, None] * x.data)
+        b._accumulate(da)
+        dx += w.data.T @ da
+        for u, h, dh in zip(us, hs, dhs):
+            u._accumulate(da[:, None] * h.data)
+            dh += u.data.T @ da
+    return dx, dhs
+
+
+def _lstm_cell_bw(out, g, parents):
+    x, h, c = parents[0], parents[1], parents[2]
+    i, f, o, u, tc = out._ctx
+    gh, gc = g[0], g[1]
+    dc = gc + o * gh * (1.0 - tc * tc)
+    das = (u * dc * i * (1.0 - i),
+           c.data * dc * f * (1.0 - f),
+           tc * gh * o * (1.0 - o),
+           i * dc * (1.0 - u * u))
+    # parents[3:] is (W, U, b) per gate
+    maps = [(parents[k], parents[k + 2], (parents[k + 1],)) for k in range(3, 15, 3)]
+    dx, (dh,) = _affine_maps_grads(das, x, (h,), maps)
+    x._accumulate(dx)
+    h._accumulate(dh)
+    c._accumulate(f * dc)
+
+
+def _tree_lstm_node_bw(out, g, parents):
+    i, o, u, forgets, tc = out._ctx
+    n = len(forgets)
+    phi, hs, cs = parents[0], parents[1:1 + n], parents[1 + n:1 + 2 * n]
+    gh, gc = g[0], g[1]
+    dc = gc + o * gh * (1.0 - tc * tc)
+    das = [u * dc * i * (1.0 - i),
+           tc * gh * o * (1.0 - o),
+           i * dc * (1.0 - u * u)]
+    das += [ck.data * dc * fk * (1.0 - fk) for fk, ck in zip(forgets, cs)]
+    # parents[1 + 2n:] is (W, b, U_1 .. U_n) per gate: i, o, u, then f per child
+    maps = [(parents[p], parents[p + 1], parents[p + 2:p + 2 + n])
+            for p in range(1 + 2 * n, len(parents), 2 + n)]
+    dphi, dhs = _affine_maps_grads(das, phi, hs, maps)
+    phi._accumulate(dphi)
+    for hk, dh in zip(hs, dhs):
+        hk._accumulate(dh)
+    for ck, fk in zip(cs, forgets):
+        ck._accumulate(fk * dc)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
@@ -362,8 +434,12 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _result(np.stack([r.data for r in rows]), rows, _stack_rows_bw)
 
 
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    return _result(1.0 / (1.0 + np.exp(-x.data)), (x,), _sigmoid_bw)
+    return _result(_sigmoid(x.data), (x,), _sigmoid_bw)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -428,6 +504,80 @@ def embedding_mean(table: Tensor, ids: Sequence[int]) -> Tensor:
         return Tensor(np.zeros(table.shape[1]))
     idx = np.asarray(ids, dtype=np.intp)
     return _result(table.data[idx].mean(axis=0), (table,), _embedding_mean_bw, idx)
+
+
+def row(m: Tensor, i: int) -> Tensor:
+    """Row ``i`` of a 2-D tensor; it shares the matrix's memory."""
+    if m.data.ndim != 2:
+        raise ShapeError(f"row: need 2-D, got {m.shape}")
+    return _result(m.data[i], (m,), _row_bw, i)
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """One LSTM step as a single traced op; returns the (2, d) matrix [h'; c'].
+
+    ``weights`` is (W, U, b) for the input, forget, output and update gates,
+    in that order: twelve tensors. A gate's pre-activation is
+    ``W @ x + U @ h + b``; ``c' = f * c + i * u`` and ``h' = o * tanh(c')``.
+    Read the new states with ``row(out, 0)`` and ``row(out, 1)``.
+    """
+    weights = tuple(weights)
+    if len(weights) != 12:
+        raise ShapeError(f"lstm_cell: needs 12 weight tensors, got {len(weights)}")
+    if h.data.ndim != 1 or c.data.shape != h.data.shape:
+        raise ShapeError(f"lstm_cell: hidden {h.shape} and cell {c.shape} must be "
+                         "equal 1-D shapes")
+    xd, hd = x.data, h.data
+    acts = [weights[k].data @ xd + weights[k + 1].data @ hd + weights[k + 2].data
+            for k in range(0, 12, 3)]
+    i, f, o = _sigmoid(acts[0]), _sigmoid(acts[1]), _sigmoid(acts[2])
+    u = np.tanh(acts[3])
+    cell = f * c.data + i * u
+    tc = np.tanh(cell)
+    return _result(np.stack((o * tc, cell)), (x, h, c) + weights, _lstm_cell_bw,
+                   (i, f, o, u, tc))
+
+
+def tree_lstm_node(phi: Tensor, child_h: Sequence[Tensor], child_c: Sequence[Tensor],
+                   gate_params, forget_params) -> Tensor:
+    """One N-ary Tree-LSTM node as a single traced op; returns [h; c], (2, d).
+
+    ``gate_params`` holds one (W, b, (U_1 .. U_n)) triple each for the input,
+    output and update gates; ``forget_params`` holds one such triple per
+    child k, for the gate that forgets child k's cell. A gate's
+    pre-activation is ``W @ phi + b + U_1 @ h_1 + ... + U_n @ h_n`` over the
+    children in slot order; ``c = i * u + sum_k f_k * c_k`` and
+    ``h = o * tanh(c)``. One tensor may fill several places (shared weights).
+    """
+    child_h, child_c = tuple(child_h), tuple(child_c)
+    n = len(child_h)
+    maps = (*gate_params, *forget_params)
+    if len(child_c) != n or len(gate_params) != 3 or len(forget_params) != n \
+            or any(len(us) != n for _, _, us in maps):
+        raise ShapeError(f"tree_lstm_node: {n} children need {n} cells, 3 gate and "
+                         f"{n} forget triples with {n} recurrent weights each")
+    phid = phi.data
+    hs = [t.data for t in child_h]
+
+    def act(w, b, us):
+        a = w.data @ phid + b.data
+        for u, hd in zip(us, hs):
+            a = a + u.data @ hd
+        return a
+
+    i = _sigmoid(act(*gate_params[0]))
+    o = _sigmoid(act(*gate_params[1]))
+    u = np.tanh(act(*gate_params[2]))
+    cell = i * u
+    forgets = []
+    for params, ck in zip(forget_params, child_c):
+        fk = _sigmoid(act(*params))
+        forgets.append(fk)
+        cell = cell + fk * ck.data
+    tc = np.tanh(cell)
+    inputs = (phi, *child_h, *child_c) + tuple(t for w, b, us in maps for t in (w, b, *us))
+    return _result(np.stack((o * tc, cell)), inputs, _tree_lstm_node_bw,
+                   (i, o, u, forgets, tc))
 
 
 def finite_difference_check(loss_fn, params, epsilon: float = 1e-5,

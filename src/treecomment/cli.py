@@ -27,6 +27,7 @@ from .autodiff import no_grad
 from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examples,
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
                      source_token_stream, tokenize_comment)
+from .encoder import trained_types
 from .params import load_checkpoint, save_checkpoint
 from .parsers import ParseError, parse_lambda, parse_sql
 from .trees import TreeError, get_grammar, tree_stats
@@ -221,8 +222,17 @@ def cmd_generate(args) -> int:
         print("no inputs to generate from", file=sys.stderr)
         return EXIT_DATA
     grammar_name = examples[0].tree.grammar
+    params = load_checkpoint(checkpoint)
+    # a run trained on another grammar has no weights for this one's node
+    # types; refuse before any output instead of serving untrained weights
+    foreign = trained_types(params) - get_grammar(grammar_name).types
+    if foreign:
+        print(f"{checkpoint} was trained on node types {sorted(foreign)}, which grammar "
+              f"{grammar_name!r} lacks; generate with the grammar of the run",
+              file=sys.stderr)
+        return EXIT_DATA
     store, encoder, decoder = build_model(cfg, grammar_name, src_vocab, tgt_vocab)
-    store.load_snapshot(load_checkpoint(checkpoint))
+    store.load_snapshot(params)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
         for i, ex in enumerate(examples):

@@ -133,8 +133,6 @@ class Example:
 @dataclass(frozen=True)
 class Batch:
     examples: tuple[Example, ...]
-    index: int
-    epoch_seed: tuple[int, int]
 
 
 def batch_iter(examples: Sequence[Example], batch_size: int,
@@ -146,9 +144,9 @@ def batch_iter(examples: Sequence[Example], batch_size: int,
     if not examples:
         raise ValueError("batch_iter: empty corpus")
     order = np.random.default_rng([seed, epoch]).permutation(len(examples))
-    for b, start in enumerate(range(0, len(examples), batch_size)):
+    for start in range(0, len(examples), batch_size):
         chunk = tuple(examples[i] for i in order[start:start + batch_size])
-        yield Batch(examples=chunk, index=b, epoch_seed=(seed, epoch))
+        yield Batch(examples=chunk)
 
 
 # --- synthetic corpus -------------------------------------------------------

@@ -73,6 +73,8 @@ class TrajectoryStep:
 class Trajectory:
     steps: list[TrajectoryStep]
     tokens: list[str]
+    # (log p(op), log p(word)) per step, traced unless sampled under no_grad()
+    scored: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def logprob(self) -> float:
         return sum(s.logp_op + s.logp_word for s in self.steps)
@@ -136,19 +138,9 @@ class TreeDecoder:
     def recurrence(self, hidden: Tensor, cell: Tensor, prev_token_id: int) -> tuple[Tensor, Tensor]:
         """One LSTM cell over the embedding of the previously emitted token."""
         x = ad.embedding_mean(self.embedding(), [prev_token_id])
-
-        def act(gate: str) -> Tensor:
-            return ad.add(ad.add(ad.matmul(self._lstm("W", gate), x),
-                                 ad.matmul(self._lstm("U", gate), hidden)),
-                          self._lstm("b", gate))
-
-        gate_in = ad.sigmoid(act("i"))
-        gate_forget = ad.sigmoid(act("f"))
-        gate_out = ad.sigmoid(act("o"))
-        update = ad.tanh(act("u"))
-        new_cell = ad.add(ad.mul(gate_forget, cell), ad.mul(gate_in, update))
-        new_hidden = ad.mul(gate_out, ad.tanh(new_cell))
-        return new_hidden, new_cell
+        weights = [self._lstm(kind, gate) for gate in "ifou" for kind in "WUb"]
+        state = ad.lstm_cell(x, hidden, cell, weights)
+        return ad.row(state, 0), ad.row(state, 1)
 
     def attend(self, hidden: Tensor, node_matrix: Tensor) -> tuple[Tensor, Tensor]:
         """Dot-product attention over node states; returns (weights, vector)."""
@@ -272,41 +264,48 @@ class TreeDecoder:
 
         Per-step log-probabilities of the sampled operation and word are
         recorded; their sum is the log of the trajectory's joint probability.
+        ``Trajectory.scored`` holds them as (log p(op), log p(word)) tensors,
+        traced unless the caller is inside ``no_grad()`` and equal bitwise to
+        what ``score_trajectory`` would rebuild, so a policy gradient needs no
+        replay.
         """
         max_len = max_len or self.config.max_len
         steps: list[TrajectoryStep] = []
         tokens: list[str] = []
-        with ad.no_grad():
-            node_matrix = hidden_matrix(encoder_output)
-            keep = self.copy_keep_mask(tree)
-            state = self.initial_state(encoder_output, tree)
-            prev: str | None = None
-            for _ in range(max_len):
-                state, step_out = self.step(state, node_matrix, keep, self._prev_id(prev))
-                copy_ok = step_out.copy_probs is not None
-                if self.config.generate_only or not copy_ok:
-                    op, logp_op = OP_GEN, 0.0
-                else:
-                    op = _gumbel_pick(step_out.op_probs.data, rng)
-                    logp_op = float(np.log(step_out.op_probs.data[op]))
-                copied = None
-                if op == OP_COPY:
-                    copied = _gumbel_pick(step_out.copy_probs.data, rng)
-                    logp_word = float(np.log(step_out.copy_probs.data[copied]))
-                    emitted = node_surface(tree.node(copied).tokens)
-                    choice = copied
-                else:
-                    choice = _gumbel_pick(step_out.gen_probs.data, rng)
-                    logp_word = float(np.log(step_out.gen_probs.data[choice]))
-                    emitted = () if choice == EOS else (self.vocab.token_of(choice),)
-                steps.append(TrajectoryStep(action=op, choice=choice, tokens=emitted,
-                                            logp_op=logp_op, logp_word=logp_word))
-                if op == OP_GEN and choice == EOS:
-                    break
-                tokens.extend(emitted)
-                prev = emitted[-1]
-                self._advance_decay(state, copied)
-        return Trajectory(steps=steps, tokens=tokens)
+        scored: list[tuple[Tensor, Tensor]] = []
+        node_matrix = hidden_matrix(encoder_output)
+        keep = self.copy_keep_mask(tree)
+        state = self.initial_state(encoder_output, tree)
+        prev: str | None = None
+        for _ in range(max_len):
+            state, step_out = self.step(state, node_matrix, keep, self._prev_id(prev))
+            copy_ok = step_out.copy_probs is not None
+            if self.config.generate_only or not copy_ok:
+                op = OP_GEN
+                logp_op = Tensor(np.asarray(0.0))
+            else:
+                op = _gumbel_pick(step_out.op_probs.data, rng)
+                logp_op = ad.log(ad.at(step_out.op_probs, op))
+            copied = None
+            if op == OP_COPY:
+                copied = _gumbel_pick(step_out.copy_probs.data, rng)
+                logp_word = ad.log(ad.at(step_out.copy_probs, copied))
+                emitted = node_surface(tree.node(copied).tokens)
+                choice = copied
+            else:
+                choice = _gumbel_pick(step_out.gen_probs.data, rng)
+                logp_word = ad.log(ad.at(step_out.gen_probs, choice))
+                emitted = () if choice == EOS else (self.vocab.token_of(choice),)
+            steps.append(TrajectoryStep(action=op, choice=choice, tokens=emitted,
+                                        logp_op=float(logp_op.data),
+                                        logp_word=float(logp_word.data)))
+            scored.append((logp_op, logp_word))
+            if op == OP_GEN and choice == EOS:
+                break
+            tokens.extend(emitted)
+            prev = emitted[-1]
+            self._advance_decay(state, copied)
+        return Trajectory(steps=steps, tokens=tokens, scored=scored)
 
     def score_trajectory(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                          trajectory: Trajectory) -> list[tuple[Tensor, Tensor]]:

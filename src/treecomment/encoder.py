@@ -9,6 +9,10 @@ Tree-LSTM, which is the reference behaviour tests compare against.
 Absent children are treated as zero-state padding: their recurrent terms and
 forget contributions vanish identically, so the corresponding products are
 simply skipped rather than materialized.
+
+Each node is one traced ``autodiff.tree_lstm_node`` op over the node's typed
+W/b tensors and its per-(slot, type) and per-(slot, k, type) U tensors, read
+back with two ``autodiff.row`` ops; parameters keep their per-gate names.
 """
 
 from __future__ import annotations
@@ -122,32 +126,28 @@ class TreeEncoder:
                                  f"grammar arity {grammar.max_arity}")
             phi = self.embed_tokens(node.tokens)
             kids = [(slot, tree.node(c)) for slot, c in enumerate(node.children, start=1)]
-
-            def gate_act(gate: str, w_type: str) -> Tensor:
-                acc = ad.add(ad.matmul(self._w(gate, w_type), phi), self._b(gate, w_type))
-                for slot, child in kids:
-                    term = ad.matmul(self._u(gate, slot, child.type), hidden[child.id])
-                    acc = ad.add(acc, term)
-                return acc
-
-            gate_in = ad.sigmoid(gate_act("i", node.type))
-            gate_out = ad.sigmoid(gate_act("o", node.type))
-            update = ad.tanh(gate_act("u", node.type))
-
-            c = ad.mul(gate_in, update)
-            for k, child_k in kids:
-                act = ad.add(ad.matmul(self._w("f", child_k.type), phi),
-                             self._b("f", child_k.type))
-                for slot, child in kids:
-                    act = ad.add(act, ad.matmul(self._u_forget(slot, child.type, k),
-                                                hidden[child.id]))
-                forget = ad.sigmoid(act)
-                c = ad.add(c, ad.mul(forget, cell[child_k.id]))
-            h = ad.mul(gate_out, ad.tanh(c))
-            hidden[node.id] = h
-            cell[node.id] = c
+            gate_params = [(self._w(gate, node.type), self._b(gate, node.type),
+                            [self._u(gate, slot, child.type) for slot, child in kids])
+                           for gate in ("i", "o", "u")]
+            forget_params = [(self._w("f", child_k.type), self._b("f", child_k.type),
+                              [self._u_forget(slot, child.type, k) for slot, child in kids])
+                             for k, child_k in kids]
+            state = ad.tree_lstm_node(phi, [hidden[child.id] for _, child in kids],
+                                      [cell[child.id] for _, child in kids],
+                                      gate_params, forget_params)
+            hidden[node.id] = ad.row(state, 0)
+            cell[node.id] = ad.row(state, 1)
         return EncoderOutput(hidden=tuple(hidden), cell=tuple(cell),
                              root_hidden=hidden[tree.root])
+
+
+def trained_types(names) -> set[str]:
+    """Node types named by typed encoder weights ``enc.<gate>.W[type=...]``
+    among parameter ``names``; an untyped model's ``any`` names none."""
+    types = {name[name.index("[type=") + 6:-1] for name in names
+             if name.startswith("enc.") and ".W[type=" in name}
+    types.discard("any")
+    return types
 
 
 def hidden_matrix(output: EncoderOutput) -> Tensor:

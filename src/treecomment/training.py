@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .corpus import (EOS, Example, Vocab, batch_iter, build_vocab, lint_examples,
                      source_token_stream)
 from .decoder import OP_COPY, OP_GEN, DecoderConfig, Trajectory, TreeDecoder
-from .encoder import EncoderConfig, TreeEncoder, hidden_matrix
+from .encoder import EncoderConfig, EncoderOutput, TreeEncoder, hidden_matrix
 from .params import AdamState, ParamStore, adam_step, clip_global_norm
 from .trees import TokenTypeTree, get_grammar
 
@@ -224,11 +224,14 @@ def _unit_probability(unit: TargetUnit, step_out, copy_feasible: bool) -> Tensor
     return total
 
 
-def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder) -> Tensor:
+def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
+             encoded: EncoderOutput | None = None) -> Tensor:
     """Negative log-likelihood of the comment (plus its end-of-sequence stop)
-    under teacher forcing with marginalized operation selection."""
+    under teacher forcing with marginalized operation selection.
+
+    ``encoded`` is the example's encoding when the caller already has it."""
     tree = example.tree
-    enc = encoder.encode(tree)
+    enc = encoder.encode(tree) if encoded is None else encoded
     node_matrix = hidden_matrix(enc)
     keep = decoder.copy_keep_mask(tree)
     state = decoder.initial_state(enc, tree)
@@ -286,22 +289,24 @@ def step_rewards(trajectory: Trajectory, reference: Sequence[str],
 
 def hrl_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
              rng: np.random.Generator, metric: Callable,
-             baseline_value: float = 0.0) -> tuple[Tensor, float]:
+             baseline_value: float = 0.0,
+             encoded: EncoderOutput | None = None) -> tuple[Tensor, float]:
     """REINFORCE surrogate for one sampled trajectory.
 
     Returns (surrogate, total_reward); the surrogate's gradient is the
     score-function estimate of the negative expected-reward gradient, with
-    per-step reward-to-go minus the baseline as the multiplier.
+    per-step reward-to-go minus the baseline as the multiplier. The sample
+    is traced as it is drawn, so its log-probabilities are not replayed.
+    ``encoded`` is the example's encoding when the caller already has it.
     """
     tree = example.tree
-    enc = encoder.encode(tree)
+    enc = encoder.encode(tree) if encoded is None else encoded
     trajectory = decoder.decode_sample(enc, tree, rng)
     per_step = step_rewards(trajectory, example.comment, metric)
     to_go = np.cumsum(per_step[::-1])[::-1]
     advantage = to_go - baseline_value
-    scored = decoder.score_trajectory(enc, tree, trajectory)
     total: Tensor | None = None
-    for (logp_op, logp_word), adv in zip(scored, advantage):
+    for (logp_op, logp_word), adv in zip(trajectory.scored, advantage):
         term = ad.mul(ad.add(logp_op, logp_word), -float(adv))
         total = term if total is None else ad.add(total, term)
     return total, float(per_step.sum())
@@ -332,12 +337,15 @@ def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
         loss = mle_loss(example, encoder, decoder)
         parts["loss_mle"] = float(loss.data)
         return loss, parts
-    surrogate, reward = hrl_loss(example, encoder, decoder, rng, metric, baseline.value)
+    # one encoding serves both objectives
+    encoded = encoder.encode(example.tree)
+    surrogate, reward = hrl_loss(example, encoder, decoder, rng, metric, baseline.value,
+                                 encoded=encoded)
     parts["loss_hrl"] = float(surrogate.data)
     parts["reward"] = reward
     if mu == 0.0:
         return surrogate, parts
-    likelihood = mle_loss(example, encoder, decoder)
+    likelihood = mle_loss(example, encoder, decoder, encoded=encoded)
     parts["loss_mle"] = float(likelihood.data)
     return ad.add(ad.mul(likelihood, mu), ad.mul(surrogate, 1.0 - mu)), parts
 

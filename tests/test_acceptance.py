@@ -252,11 +252,12 @@ def test_c04_policy_gradient_unbiasedness():
     rng = np.random.default_rng(0)
     counts: Counter = Counter()
     representative = {}
-    for _ in range(n_samples):
-        traj = decoder.decode_sample(enc, tree, rng)
-        sig = tuple((s.action, s.choice) for s in traj.steps)
-        counts[sig] += 1
-        representative.setdefault(sig, traj)
+    with ad.no_grad():
+        for _ in range(n_samples):
+            traj = decoder.decode_sample(enc, tree, rng)
+            sig = tuple((s.action, s.choice) for s in traj.steps)
+            counts[sig] += 1
+            representative.setdefault(sig, traj)
 
     mean_g = {name: np.zeros_like(p.data) for name, p in store.items()}
     mean_g2 = {name: np.zeros_like(p.data) for name, p in store.items()}

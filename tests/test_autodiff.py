@@ -55,6 +55,46 @@ class TestPrimitivesForward:
         assert out.data.tolist() == [1.0, 2.0, 3.0]
         assert ad.take(out, [2, 0]).data.tolist() == [3.0, 1.0]
 
+    def test_lstm_cell_equals_gate_composition(self):
+        def composed(p):
+            w = lstm_weights(p)
+            x, h, c = p["x"], p["y"], p["pos"]
+            act = [ad.add(ad.add(ad.matmul(w[k], x), ad.matmul(w[k + 1], h)), w[k + 2])
+                   for k in range(0, 12, 3)]
+            i, f, o = (ad.sigmoid(a) for a in act[:3])
+            cell = ad.add(ad.mul(f, c), ad.mul(i, ad.tanh(act[3])))
+            return ad.mul(o, ad.tanh(cell)), cell
+
+        assert_fused_equals_composition(
+            lambda p: ad.lstm_cell(p["x"], p["y"], p["pos"], lstm_weights(p)), composed)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_tree_lstm_node_equals_gate_composition(self, shared):
+        def composed(p):
+            kids = [ad.row(p["m"], j) for j in range(3)]
+
+            def act(w, b, first_u):
+                total = ad.add(ad.matmul(p[f"sq{w}"], p["x"]), p[f"vec{b}"])
+                for j, kid in enumerate(kids):
+                    total = ad.add(total, ad.matmul(p[f"sq{(first_u + j) % 8}"], kid))
+                return total
+
+            cell = ad.mul(ad.sigmoid(act(0, 0, 1)), ad.tanh(act(4, 2, 5)))
+            for k, ck in enumerate((p["x"], p["y"], p["pos"])):
+                forget = ad.sigmoid(act(6, 3, 7 if shared else 7 + 3 * k))
+                cell = ad.add(cell, ad.mul(forget, ck))
+            return ad.mul(ad.sigmoid(act(2, 1, 3)), ad.tanh(cell)), cell
+
+        assert_fused_equals_composition(lambda p: tree_node(p, 3, shared), composed)
+
+    def test_fused_cells_reject_bad_arity(self):
+        p = op_params()
+        with pytest.raises(ShapeError):
+            ad.lstm_cell(p["x"], p["y"], p["pos"], lstm_weights(p)[:11])
+        gate = (p["sq0"], p["vec0"], [p["sq1"]])
+        with pytest.raises(ShapeError):  # one child but no forget triple
+            ad.tree_lstm_node(p["x"], [p["y"]], [p["pos"]], [gate] * 3, [])
+
 
 class TestBackward:
     def test_linear_case_grad_equals_input(self):
@@ -105,7 +145,8 @@ class TestBackward:
 
     def test_graph_consumed_after_backward(self):
         params = op_params()
-        losses = [op_loss(params) for op_loss in OP_LOSSES.values()]
+        losses = [op_loss(params) for op_loss in (*OP_LOSSES.values(),
+                                                  *FUSED_LOSSES.values())]
         loss = losses[0]
         for term in losses[1:]:
             loss = ad.add(loss, term)
@@ -149,7 +190,7 @@ def tape(loss):
 
 def op_params():
     rng = np.random.default_rng(3)
-    return {
+    params = {
         "x": leaf(rng.normal(size=4)),
         "y": leaf(rng.normal(size=4)),
         "pos": leaf(rng.uniform(0.5, 2.0, size=4)),
@@ -157,6 +198,52 @@ def op_params():
         "n": leaf(rng.normal(size=(4, 2))),
         "table": leaf(rng.normal(size=(5, 3))),
     }
+    # weights for the fused cells: eight square matrices and four biases
+    for i in range(8):
+        params[f"sq{i}"] = leaf(0.5 * rng.normal(size=(4, 4)))
+    for i in range(4):
+        params[f"vec{i}"] = leaf(0.5 * rng.normal(size=4))
+    return params
+
+
+def assert_fused_equals_composition(fused_fn, composed_fn):
+    """A fused cell's [h; c] equals the per-gate composition of primitives
+    bitwise, and its gradients match within 1e-12 (summation order only)."""
+    fused_params, composed_params = op_params(), op_params()
+    fused = fused_fn(fused_params)
+    hidden, cell = composed_fn(composed_params)
+    assert np.array_equal(ad.row(fused, 0).data, hidden.data)
+    assert np.array_equal(ad.row(fused, 1).data, cell.data)
+    weighted(fused).backward()
+    weighted(ad.stack_rows([hidden, cell])).backward()
+    for name, p in fused_params.items():
+        q = composed_params[name]
+        if p.grad is None or q.grad is None:
+            assert p.grad is None and q.grad is None, name
+        else:
+            assert np.allclose(p.grad, q.grad, rtol=0.0, atol=1e-12), name
+
+
+def lstm_weights(p):
+    """(W, U, b) for the gates i, f, o, u."""
+    return [p[f"sq{2 * g}"] if kind == "W" else p[f"sq{2 * g + 1}"] if kind == "U"
+            else p[f"vec{g}"] for g in range(4) for kind in "WUb"]
+
+
+def tree_node(p, arity, shared=False):
+    """A tree node over ``arity`` children whose states are rows of ``m``
+    and entries of x / y / pos. ``shared`` lays the weights out as an untyped
+    encoder with tied forget slots does: every forget gate reads one W, one b
+    and, per slot, one U."""
+    kids_h = [ad.row(p["m"], j) for j in range(arity)]
+    kids_c = [p["x"], p["y"], p["pos"]][:arity]
+
+    def triple(w, b, first_u):
+        return (p[f"sq{w}"], p[f"vec{b}"], [p[f"sq{(first_u + j) % 8}"] for j in range(arity)])
+
+    gates = [triple(0, 0, 1), triple(2, 1, 3), triple(4, 2, 5)]
+    forgets = [triple(6, 3, 7 if shared else 7 + 3 * k) for k in range(arity)]
+    return ad.tree_lstm_node(p["x"] if arity else p["y"], kids_h, kids_c, gates, forgets)
 
 
 def weighted(t):
@@ -189,17 +276,44 @@ OP_LOSSES = {
     "at": lambda p: weighted(ad.at(p["x"], 2)),
     "take_repeated": lambda p: weighted(ad.take(p["x"], [2, 0, 2, 2])),
     "embedding_mean": lambda p: weighted(ad.embedding_mean(p["table"], [4, 1, 4])),
+    "row": lambda p: weighted(ad.row(p["m"], 1)),
 }
+
+# one probe loss per fused cell layout
+FUSED_LOSSES = {
+    "lstm_cell": lambda p: weighted(ad.lstm_cell(p["x"], p["y"], p["pos"],
+                                                 lstm_weights(p))),
+    "tree_lstm_node_leaf": lambda p: weighted(tree_node(p, 0)),
+    "tree_lstm_node_arity3": lambda p: weighted(tree_node(p, 3)),
+    "tree_lstm_node_shared": lambda p: weighted(tree_node(p, 3, shared=True)),
+}
+
+
+def used_params(params, loss):
+    return {name: params[name] for name in sorted(params)
+            if any(t is params[name] for t in tape(loss))}
 
 
 @pytest.mark.parametrize("op", sorted(OP_LOSSES))
 def test_each_operation_matches_finite_differences(op):
     params = op_params()
-    used = {name: params[name] for name in sorted(params)
-            if any(t is params[name] for t in tape(OP_LOSSES[op](params)))}
+    used = used_params(params, OP_LOSSES[op](params))
     assert used
     err = finite_difference_check(lambda: OP_LOSSES[op](params), used,
                                   epsilon=1e-6, max_coords_per_param=12)
+    assert err < 1e-6, f"{op}: {err}"
+
+
+@pytest.mark.parametrize("op", sorted(FUSED_LOSSES))
+def test_each_fused_cell_matches_finite_differences(op):
+    # a fused cell is a deep graph with many inputs; as in the gradient
+    # suite, the five-point stencil at a wider step keeps roundoff on its
+    # small gradient coordinates below the tolerance
+    params = op_params()
+    used = used_params(params, FUSED_LOSSES[op](params))
+    assert len(used) >= 4
+    err = finite_difference_check(lambda: FUSED_LOSSES[op](params), used,
+                                  epsilon=1e-3, order=4, max_coords_per_param=16)
     assert err < 1e-6, f"{op}: {err}"
 
 

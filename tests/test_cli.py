@@ -144,6 +144,32 @@ class TestTrainGenerateEvaluate:
         assert code == 0
         assert len(out.splitlines()) == 1
 
+    def test_generate_refuses_untrained_grammar(self, tmp_path, corpus_path, capsys):
+        # a wikisql run has no weights for lambda-calculus node types; serving
+        # freshly initialized ones would print words from untrained weights
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        src = tmp_path / "code.txt"
+        src.write_text("(lambda $0 e (and (flight $0) (from $0 boston:ci)))\n")
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(src), "--lang", "lambda"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "trained on node types" in err and "'atis' lacks" in err
+
+    def test_generate_serves_unseen_in_grammar_combinations(self, tmp_path, corpus_path,
+                                                            capsys):
+        # synthetic SQL has one WHERE condition; a second one needs encoder
+        # slot weights the run never created, which keep their initial values
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        src = tmp_path / "code.txt"
+        src.write_text("SELECT a FROM t WHERE b = 'c' AND d = 'e'\n")
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(src), "--lang", "sql"], capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 1
+
     def test_evaluate_report_format(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
         ref = tmp_path / "ref.txt"

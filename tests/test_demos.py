@@ -1,0 +1,26 @@
+"""The quick demos run to completion. Demo 06 trains for minutes and is left
+out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+QUICK_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_quick_demos_found():
+    assert len(QUICK_DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_exits_zero(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

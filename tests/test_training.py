@@ -214,6 +214,46 @@ class TestHrlLoss:
                     for lo, lw in decoder.score_trajectory(enc2, tree, traj))
         assert after > before
 
+    def test_recorded_sample_equals_replay(self):
+        # hrl_loss traces the sample as it is drawn; the replay through
+        # score_trajectory must give the same log-probabilities bitwise and
+        # the same surrogate gradients up to summation order
+        store, encoder, decoder = make_model(seed=55, target_extra=("col", "two"))
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        ex = Example(tree=tree, comment=("col", "two", "words"))
+        copied = False
+        for seed in range(8):
+            enc = encoder.encode(tree)
+            traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
+            replay = decoder.score_trajectory(enc, tree, traj)
+            assert len(traj.scored) == len(replay) == len(traj.steps)
+            for rec, (lo, lw), (ro, rw) in zip(traj.steps, traj.scored, replay):
+                assert lo.data.tobytes() == ro.data.tobytes()
+                assert lw.data.tobytes() == rw.data.tobytes()
+                assert (rec.logp_op, rec.logp_word) == (float(lo.data), float(lw.data))
+            copied |= any(s.action == OP_COPY for s in traj.steps)
+
+            store.zero_grads()
+            surrogate, reward = hrl_loss(ex, encoder, decoder,
+                                         np.random.default_rng(seed), BLEU, 0.1)
+            surrogate.backward()
+            recorded = {name: p.grad.copy() for name, p in store.items()}
+            store.zero_grads()
+            enc = encoder.encode(tree)
+            traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
+            per_step = step_rewards(traj, ex.comment, BLEU)
+            advantage = np.cumsum(per_step[::-1])[::-1] - 0.1
+            replayed = None
+            for (lo, lw), adv in zip(decoder.score_trajectory(enc, tree, traj), advantage):
+                term = ad.mul(ad.add(lo, lw), -float(adv))
+                replayed = term if replayed is None else ad.add(replayed, term)
+            assert float(replayed.data) == float(surrogate.data)
+            assert reward == float(per_step.sum())
+            replayed.backward()
+            for name, p in store.items():
+                assert np.allclose(recorded[name], p.grad, rtol=0.0, atol=1e-12), name
+        assert copied
+
     def test_baseline_update_is_ema(self):
         b = Baseline(decay=0.9)
         b.update(1.0)
@@ -270,7 +310,10 @@ class TestTapeIsAcyclic:
         lambda ex, enc, dec: hrl_loss(ex, enc, dec, np.random.default_rng(0),
                                       reward_function("bleu4"), 0.0),
         lambda ex, enc, dec: greedy_candidates([ex], enc, dec),
-    ], ids=["mle_loss", "hrl_loss", "greedy_candidates"])
+        lambda ex, enc, dec: mixed_loss(
+            ex, enc, dec, 5, TrainConfig(total_steps=10, hidden_size=6, seed=40),
+            np.random.default_rng(0), Baseline()),
+    ], ids=["mle_loss", "hrl_loss", "greedy_candidates", "mixed_loss"])
     def test_dropped_graph_leaves_no_cycles(self, build):
         _, encoder, decoder = make_model(seed=40, target_extra=("hello",))
         ex = Example(tree=parse_sql("SELECT col FROM t WHERE a = 'v'"),
