@@ -12,11 +12,21 @@ replayed twice. The walk pushes only traced tensors; leaves just receive
 gradients. Graphs are never shared between threads.
 
 Most of the cost of a tape is Python bookkeeping per op, not arithmetic, so
-the two recurrent cells are fused: ``lstm_cell`` (one decoder step) and
-``tree_lstm_node`` (one encoder node) each record a single op whose forward
-evaluates the same numpy expressions, in the same order, as the per-gate
-composition of primitives, and whose backward is written by hand. Each
-returns the matrix ``[h; c]``; ``row`` splits it into the two states.
+the recurrent cells are fused. ``tree_lstm_node`` (one encoder node)
+records a single op whose forward evaluates the same numpy expressions, in
+the same order, as the per-gate composition of primitives. ``lstm`` runs T
+decoder steps as one op: the input products of all four gates are one
+matrix product over the T rows, each step adds one stacked recurrent
+product, and the backward is hand-written BPTT whose weight gradients are
+again one matrix product over all steps. Both return a matrix of states
+(``[h; c]`` for a node, ``[h_1 .. h_T; c_T]`` for the LSTM) that ``row`` and
+``rows`` read.
+
+The ops the decoder heads need work on a single vector or on a matrix with
+one row per position: ``linear`` (``x @ W.T``), ``softmax`` and ``concat``
+over the last axis, ``matmul`` with a vector on the left, the copy damping
+``damp``, and the gathers ``rows`` and ``pick``. So one head computes a
+single decoding step or every teacher-forced position at once.
 
 No operation creates a function object, and a tensor refers only to its
 inputs, never to itself or to anything downstream. A graph is therefore
@@ -25,7 +35,8 @@ as its last tensor is dropped, whether or not ``backward()`` ran; the cycle
 collector has nothing to find.
 
 Only the handful of operations the tree encoder / decoder actually need are
-provided; there is no broadcasting beyond scalar multiples and no GPU path.
+provided; there is no broadcasting beyond scalar multiples and a leading row
+axis, and no GPU path.
 """
 
 from __future__ import annotations
@@ -228,6 +239,18 @@ def _matmat_bw(out, g, parents):
     b._accumulate(a.data.T @ g)
 
 
+def _vecmat_bw(out, g, parents):
+    a, b = parents
+    a._accumulate(b.data @ g)
+    b._accumulate(a.data[:, None] * g)
+
+
+def _linear_bw(out, g, parents):
+    x, w = parents
+    x._accumulate(g @ w.data)
+    w._accumulate(g.T @ x.data if g.ndim == 2 else g[:, None] * x.data)
+
+
 def _dot_bw(out, g, parents):
     a, b = parents
     a._accumulate(g * b.data)
@@ -241,8 +264,8 @@ def _transpose_bw(out, g, parents):
 def _concat_bw(out, g, parents):
     lo = 0
     for p in parents:
-        hi = lo + p.data.size
-        p._accumulate(g[lo:hi])
+        hi = lo + p.data.shape[-1]
+        p._accumulate(g[..., lo:hi])
         lo = hi
 
 
@@ -262,9 +285,10 @@ def _tanh_bw(out, g, parents):
 
 
 def _softmax_bw(out, g, parents):
-    # dx_i = y_i *(g_i - <g, y>); masked entries have y_i = 0 and stay zero
+    # per row, dx_i = y_i * (g_i - <g, y>); masked entries have y_i = 0 and
+    # stay zero
     y = out.data
-    parents[0]._accumulate(y * (g - float(g @ y)))
+    parents[0]._accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
 
 def _log_bw(out, g, parents):
@@ -306,6 +330,30 @@ def _row_bw(out, g, parents):
     m.grad[out._ctx] += g
 
 
+def _rows_bw(out, g, parents):
+    m = parents[0]
+    if m.grad is None:
+        m.grad = np.zeros_like(m.data)
+    np.add.at(m.grad, out._ctx, g)
+
+
+def _pick_bw(out, g, parents):
+    m = parents[0]
+    r, c = out._ctx
+    if m.grad is None:
+        m.grad = np.zeros_like(m.data)
+    np.add.at(m.grad, (r, c), g[r])
+
+
+def _damp_bw(out, g, parents):
+    # a renormalized row y = d / sum(d) with d = p * keep: the gradient of d
+    # is (g - <g, y>) / sum(d); passed-through rows take g, dead rows nothing
+    keep, total, live, active = out._ctx
+    y = out.data
+    gd = (g - (g * y).sum(axis=-1, keepdims=True)) / total
+    parents[0]._accumulate(np.where(live, gd * keep, np.where(active, 0.0, g)))
+
+
 def _affine_maps_grads(das, x, hs, maps):
     """Accumulate the gradients of the affine maps ``W @ x + b + sum_j U_j @
     h_j``, one (W, b, (U_1 .. U_n)) triple in ``maps`` per pre-activation
@@ -322,21 +370,44 @@ def _affine_maps_grads(das, x, hs, maps):
     return dx, dhs
 
 
-def _lstm_cell_bw(out, g, parents):
-    x, h, c = parents[0], parents[1], parents[2]
-    i, f, o, u, tc = out._ctx
-    gh, gc = g[0], g[1]
-    dc = gc + o * gh * (1.0 - tc * tc)
-    das = (u * dc * i * (1.0 - i),
-           c.data * dc * f * (1.0 - f),
-           tc * gh * o * (1.0 - o),
-           i * dc * (1.0 - u * u))
+def _lstm_bw(out, g, parents):
+    x, h0, c0 = parents[0], parents[1], parents[2]
+    gates, cells, tc = out._ctx
+    w, u, _ = _stacked_gates(parents[3:])
+    steps, d = tc.shape
+    i, f, o, cand = (gates[:, k * d:(k + 1) * d] for k in range(4))
+    # pre-activation gradient per unit of dc (input, forget, update gates)
+    # and of dh (output gate), for every step at once
+    i_dc = cand * i * (1.0 - i)
+    f_dc = cells[:-1] * f * (1.0 - f)
+    u_dc = i * (1.0 - cand * cand)
+    o_dh = tc * o * (1.0 - o)
+    c_dh = o * (1.0 - tc * tc)
+    das = np.empty_like(gates)
+    dh = np.zeros(d)
+    dc = g[steps].copy()
+    for t in range(steps - 1, -1, -1):
+        gh = g[t] + dh
+        dc = dc + c_dh[t] * gh
+        da = das[t]
+        np.multiply(dc, i_dc[t], out=da[:d])
+        np.multiply(dc, f_dc[t], out=da[d:2 * d])
+        np.multiply(gh, o_dh[t], out=da[2 * d:3 * d])
+        np.multiply(dc, u_dc[t], out=da[3 * d:])
+        dh = da @ u
+        dc = f[t] * dc
+    x._accumulate(das @ w)
+    h0._accumulate(dh)
+    c0._accumulate(dc)
+    # the recurrent input of step t is h_{t-1}: h0, then the outputs but the last
+    h_prev = np.vstack((h0.data, out.data[:steps - 1]))
+    dw, du, db = das.T @ x.data, das.T @ h_prev, das.sum(axis=0)
     # parents[3:] is (W, U, b) per gate
-    maps = [(parents[k], parents[k + 2], (parents[k + 1],)) for k in range(3, 15, 3)]
-    dx, (dh,) = _affine_maps_grads(das, x, (h,), maps)
-    x._accumulate(dx)
-    h._accumulate(dh)
-    c._accumulate(f * dc)
+    for k in range(4):
+        gate_rows = slice(k * d, (k + 1) * d)
+        parents[3 + 3 * k]._accumulate(dw[gate_rows])
+        parents[4 + 3 * k]._accumulate(du[gate_rows])
+        parents[5 + 3 * k]._accumulate(db[gate_rows])
 
 
 def _tree_lstm_node_bw(out, g, parents):
@@ -391,18 +462,30 @@ def div(a: Tensor, s: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: (m,n)@(n,p) -> (m,p) or (m,n)@(n,) -> (m,)."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"matmul: left operand must be 2-D, got {a.shape}")
-    if b.data.ndim == 1:
+    """Matrix product: (m,n)@(n,p) -> (m,p), (m,n)@(n,) -> (m,) or, with a
+    vector on the left, (n,)@(n,p) -> (p,)."""
+    if a.data.ndim == 1 and b.data.ndim == 2:
+        backward = _vecmat_bw
+    elif a.data.ndim != 2:
+        raise ShapeError(f"matmul: left operand must be 1-D or 2-D, got {a.shape}")
+    elif b.data.ndim == 1:
         backward = _matvec_bw
     elif b.data.ndim == 2:
         backward = _matmat_bw
     else:
         raise ShapeError(f"matmul: unsupported right operand shape {b.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     return _result(a.data @ b.data, (a, b), backward)
+
+
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x @ w.T`` for a vector (k,) -> (m,) or one per row, (T,k) -> (T,m),
+    with ``w`` of shape (m, k). A vector gives ``w @ x`` exactly."""
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[1]:
+        raise ShapeError(f"linear: {x.shape} against weights {w.shape}")
+    data = w.data @ x.data if x.data.ndim == 1 else x.data @ w.data.T
+    return _result(data, (x, w), _linear_bw)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -418,10 +501,11 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join vectors, or matrices with equal row counts, along the last axis."""
     parts = tuple(parts)
-    if not parts or any(p.data.ndim != 1 for p in parts):
-        raise ShapeError("concat: needs one or more 1-D tensors")
-    return _result(np.concatenate([p.data for p in parts]), parts, _concat_bw)
+    if len({p.data.shape[:-1] for p in parts}) != 1 or parts[0].data.ndim not in (1, 2):
+        raise ShapeError("concat: needs 1-D tensors, or 2-D ones with equal row counts")
+    return _result(np.concatenate([p.data for p in parts], axis=-1), parts, _concat_bw)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -447,28 +531,30 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax over a 1-D tensor.
+    """Softmax over the last axis of a vector or of each row of a matrix.
 
-    ``keep`` is an optional boolean mask: entries where it is False get
-    probability exactly 0.0 and receive no gradient. This realizes additive
-    minus-infinity masking without NaN-producing arithmetic.
+    ``keep`` is an optional boolean mask over the last axis, shared by every
+    row: entries where it is False get probability exactly 0.0 and receive no
+    gradient. This realizes additive minus-infinity masking without
+    NaN-producing arithmetic.
     """
-    if x.data.ndim != 1 or x.size == 0:
-        raise ShapeError(f"softmax: need non-empty 1-D input, got {x.shape}")
+    if x.data.ndim not in (1, 2) or x.data.shape[-1] == 0:
+        raise ShapeError(f"softmax: need a non-empty last axis on 1-D or 2-D input, "
+                         f"got {x.shape}")
     if keep is None:
         kept = x.data
-        z = np.exp(kept - kept.max())
-        y = z / z.sum()
+        z = np.exp(kept - kept.max(axis=-1, keepdims=True))
+        y = z / z.sum(axis=-1, keepdims=True)
     else:
         keep = np.asarray(keep, dtype=bool)
-        if keep.shape != x.shape:
+        if keep.shape != x.shape[-1:]:
             raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
         if not keep.any():
             raise ShapeError("softmax: mask removes every entry")
         y = np.zeros_like(x.data)
-        kept = x.data[keep]
-        z = np.exp(kept - kept.max())
-        y[keep] = z / z.sum()
+        kept = x.data[..., keep]
+        z = np.exp(kept - kept.max(axis=-1, keepdims=True))
+        y[..., keep] = z / z.sum(axis=-1, keepdims=True)
     return _result(y, (x,), _softmax_bw)
 
 
@@ -513,29 +599,98 @@ def row(m: Tensor, i: int) -> Tensor:
     return _result(m.data[i], (m,), _row_bw, i)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, weights: Sequence[Tensor]) -> Tensor:
-    """One LSTM step as a single traced op; returns the (2, d) matrix [h'; c'].
+def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
+    """Rows ``ids`` of a 2-D tensor, in order and with repeats allowed: a
+    (len(ids), columns) matrix."""
+    idx = np.asarray(ids, dtype=np.intp)
+    if m.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError(f"rows: need a 2-D tensor and 1-D ids, got {m.shape}, {idx.shape}")
+    return _result(m.data[idx], (m,), _rows_bw, idx)
+
+
+def pick(m: Tensor, row_ids: Sequence[int], col_ids: Sequence[int]) -> Tensor:
+    """Per-row sums of chosen entries of a matrix: entry r of the result sums
+    ``m[row_ids[k], col_ids[k]]`` over every k with ``row_ids[k] == r``, and
+    is 0 where nothing is chosen. The result has one entry per row of ``m``."""
+    r = np.asarray(row_ids, dtype=np.intp)
+    c = np.asarray(col_ids, dtype=np.intp)
+    if m.data.ndim != 2 or r.ndim != 1 or r.shape != c.shape:
+        raise ShapeError(f"pick: need a 2-D tensor and equal 1-D index lists, got "
+                         f"{m.shape}, {r.shape}, {c.shape}")
+    data = np.zeros(m.data.shape[0])
+    np.add.at(data, r, m.data[r, c])
+    return _result(data, (m,), _pick_bw, (r, c))
+
+
+def damp(probs: Tensor, decay: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Copy damping of a distribution (a vector) or of one per row (a matrix).
+
+    A row whose ``decay`` is not all zero is scaled by ``1 - decay`` and
+    renormalized; a row whose decay is all zero passes through untouched. A
+    row whose damped mass is zero cannot be renormalized: it comes out all
+    zero, takes no gradient, and is reported in ``dead`` (shape ``()`` for a
+    vector, one flag per row for a matrix). Returns ``(damped, dead)``.
+    """
+    decay = np.asarray(decay, dtype=np.float64)
+    if decay.shape != probs.shape or decay.ndim not in (1, 2):
+        raise ShapeError(f"damp: decay {decay.shape} vs probabilities {probs.shape}")
+    keep = 1.0 - decay
+    damped = probs.data * keep
+    total = damped.sum(axis=-1, keepdims=True)
+    active = decay.any(axis=-1, keepdims=True)
+    live = active & (total > 0.0)
+    total = np.where(live, total, 1.0)
+    data = np.where(active, damped, probs.data)
+    np.divide(data, total, out=data, where=live)
+    dead = (active & ~live)[..., 0]
+    return _result(data, (probs,), _damp_bw, (keep, total, live, active)), dead
+
+
+def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """T LSTM steps over the rows of ``x`` (T, n) from the states ``h0`` and
+    ``c0`` (d,), as one traced op; returns the (T + 1, d) matrix
+    ``[h_1 .. h_T; c_T]``, which for one step is ``[h; c]``.
 
     ``weights`` is (W, U, b) for the input, forget, output and update gates,
-    in that order: twelve tensors. A gate's pre-activation is
-    ``W @ x + U @ h + b``; ``c' = f * c + i * u`` and ``h' = o * tanh(c')``.
-    Read the new states with ``row(out, 0)`` and ``row(out, 1)``.
+    in that order: twelve tensors. A gate's pre-activation at step t is
+    ``W @ x_t + b + U @ h_{t-1}``; ``c_t = f * c_{t-1} + i * u`` and
+    ``h_t = o * tanh(c_t)``. The input products of all steps are one matrix
+    product, and each step adds one product with the stacked U.
     """
     weights = tuple(weights)
     if len(weights) != 12:
-        raise ShapeError(f"lstm_cell: needs 12 weight tensors, got {len(weights)}")
-    if h.data.ndim != 1 or c.data.shape != h.data.shape:
-        raise ShapeError(f"lstm_cell: hidden {h.shape} and cell {c.shape} must be "
-                         "equal 1-D shapes")
-    xd, hd = x.data, h.data
-    acts = [weights[k].data @ xd + weights[k + 1].data @ hd + weights[k + 2].data
-            for k in range(0, 12, 3)]
-    i, f, o = _sigmoid(acts[0]), _sigmoid(acts[1]), _sigmoid(acts[2])
-    u = np.tanh(acts[3])
-    cell = f * c.data + i * u
-    tc = np.tanh(cell)
-    return _result(np.stack((o * tc, cell)), (x, h, c) + weights, _lstm_cell_bw,
-                   (i, f, o, u, tc))
+        raise ShapeError(f"lstm: needs 12 weight tensors, got {len(weights)}")
+    if x.data.ndim != 2 or x.data.shape[0] == 0 or h0.data.ndim != 1 \
+            or c0.data.shape != h0.data.shape:
+        raise ShapeError(f"lstm: inputs {x.shape} must be a non-empty 2-D matrix and "
+                         f"hidden {h0.shape} and cell {c0.shape} equal 1-D shapes")
+    steps, d = x.data.shape[0], h0.data.size
+    w, u, b = _stacked_gates(weights)
+    pre = x.data @ w.T + b
+    gates = np.empty((steps, 4 * d))
+    cells = np.empty((steps + 1, d))
+    tc = np.empty((steps, d))
+    data = np.empty((steps + 1, d))
+    cells[0] = c0.data
+    h = h0.data
+    for t in range(steps):
+        a = pre[t] + u @ h
+        gate = gates[t]
+        gate[:3 * d] = _sigmoid(a[:3 * d])
+        gate[3 * d:] = np.tanh(a[3 * d:])
+        cells[t + 1] = gate[d:2 * d] * cells[t] + gate[:d] * gate[3 * d:]
+        tc[t] = np.tanh(cells[t + 1])
+        h = data[t] = gate[2 * d:3 * d] * tc[t]
+    data[steps] = cells[steps]
+    return _result(data, (x, h0, c0) + weights, _lstm_bw, (gates, cells, tc))
+
+
+def _stacked_gates(weights):
+    """The W, U and b of the four LSTM gates, each stacked gate over gate.
+    Rebuilt where needed rather than saved on the tape: each sampled step
+    would otherwise hold its own copy of every weight until backward."""
+    return tuple(np.concatenate([weights[k].data for k in range(kind, 12, 3)])
+                 for kind in range(3))
 
 
 def tree_lstm_node(phi: Tensor, child_h: Sequence[Tensor], child_c: Sequence[Tensor],

@@ -49,6 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -317,7 +324,7 @@ def build_parser() -> _Parser:
                    help="treat input as raw code lines in this language")
     p.add_argument("--checkpoint", choices=("best", "final"), default="best")
     p.add_argument("--trace", help="write per-step decoding traces (JSONL)")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=_positive_int, default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", help="score candidates against references")

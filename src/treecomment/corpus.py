@@ -265,30 +265,77 @@ def copyable_surfaces(tree: TokenTypeTree) -> list[tuple[str, ...]]:
     return out
 
 
+def unit_spans(comment: Sequence[str], surfaces: Iterable[tuple[str, ...]],
+               vocab: Vocab) -> list[set[int]]:
+    """Per position of ``comment``, the lengths of the units the decoder can
+    emit there: 1 for a token of ``vocab``, and the length of each of the
+    copyable ``surfaces`` that matches there."""
+    comment = tuple(comment)
+    by_first: dict[str, set[tuple[str, ...]]] = {}
+    for s in surfaces:
+        by_first.setdefault(s[0], set()).add(s)
+    known = vocab.token_to_id
+    spans = []
+    for i, token in enumerate(comment):
+        here = {len(s) for s in by_first[token] if comment[i:i + len(s)] == s} \
+            if token in by_first else set()
+        if token in known:
+            here.add(1)
+        spans.append(here)
+    return spans
+
+
+def follows(comment: Sequence[str], i: int, n: int, prev: int) -> bool:
+    """Whether a unit of length ``n`` can be emitted at position ``i`` right
+    after a unit of length ``prev``. A multi-token unit is always a copy, and
+    copying it fully decays every node with that surface, so the same span
+    cannot be copied again at the next step."""
+    return n != prev or n < 2 or comment[i - n:i] != comment[i:i + n]
+
+
+def finishing_units(comment: Sequence[str], spans: list[set[int]]) -> list[set[int]]:
+    """Per position, the lengths in ``spans`` after which the rest of
+    ``comment`` can still be emitted (see ``follows``): the reachability
+    lint's dynamic program, run from the end. The list has one entry past
+    the end."""
+    m = len(comment)
+    # past the end sits the empty remainder, which follows any unit
+    good: list[set[int]] = [set() for _ in range(m)] + [{0}]
+    for i in range(m - 1, -1, -1):
+        for n in spans[i]:
+            for after in good[i + n]:
+                if follows(comment, i + n, after, n):
+                    good[i].add(n)
+                    break
+    return good
+
+
 def lint_examples(examples: Sequence[Example], target_vocab: Vocab) -> list[LintProblem]:
     """Check each comment is reachable from the decoder's action space:
-    segmentable into in-vocabulary tokens and full copyable node surfaces."""
+    segmentable into in-vocabulary tokens and full copyable node surfaces,
+    no multi-token span copied twice in a row (copy decay forbids it)."""
     problems: list[LintProblem] = []
     for idx, ex in enumerate(examples):
-        surfaces = copyable_surfaces(ex.tree)
         comment = ex.comment
-        m = len(comment)
-        reachable = [False] * (m + 1)
-        reachable[0] = True
-        for i in range(m):
-            if not reachable[i]:
-                continue
-            if comment[i] in target_vocab:
-                reachable[i + 1] = True
-            for s in surfaces:
-                if comment[i:i + len(s)] == s:
-                    reachable[i + len(s)] = True
-        if not reachable[m]:
-            stuck = max(i for i in range(m + 1) if reachable[i])
-            problems.append(LintProblem(
-                example_index=idx, position=stuck,
-                message=f"token {comment[stuck]!r} is out-of-vocabulary and no "
-                        f"copyable node span covers it"))
+        spans = unit_spans(comment, copyable_surfaces(ex.tree), target_vocab)
+        if finishing_units(comment, spans)[0]:
+            continue
+        # report the furthest position a walk from the start reaches, by
+        # (position, length of the unit before it)
+        reach: list[set[int]] = [set() for _ in range(len(comment) + 1)]
+        reach[0].add(0)
+        for i, here in enumerate(spans):
+            for n in here:
+                if any(follows(comment, i, n, prev) for prev in reach[i]):
+                    reach[i + n].add(n)
+        stuck = max(i for i, before in enumerate(reach) if before)
+        if spans[stuck]:
+            message = (f"the span starting with token {comment[stuck]!r} repeats the "
+                       f"copy just made, which copy decay forbids")
+        else:
+            message = (f"token {comment[stuck]!r} is out-of-vocabulary and no "
+                       f"copyable node span covers it")
+        problems.append(LintProblem(example_index=idx, position=stuck, message=message))
     return problems
 
 

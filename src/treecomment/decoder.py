@@ -10,6 +10,12 @@ per-node geometric decay discourages re-copying a node just emitted.
 A copy emits the node's entire (lower-cased) token sequence as one action;
 the last emitted token feeds the next recurrence step. When no node is
 copyable at all, the operation is forced to "generate" with probability one.
+
+Attention and the three heads are written once for a hidden state of shape
+(d,) or a (T, d) matrix of them (``heads``). ``step`` feeds them one hidden
+state and serves the sampling, greedy and replay loops. Under teacher forcing
+every input of every step is known up front, so ``teacher_forced`` runs the
+LSTM over all T positions as one op and the heads once over the T rows.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class DecoderConfig:
     def __post_init__(self):
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError(f"decay_factor must lie in (0, 1), got {self.decay_factor}")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
 
 @dataclass
@@ -53,11 +61,14 @@ class DecoderState:
 
 @dataclass
 class StepOutput:
+    """Head outputs for one step, or one row per position under teacher
+    forcing (``TreeDecoder.teacher_forced``)."""
     attn_weights: Tensor         # simplex over nodes
     attn_vector: Tensor
     op_probs: Tensor | None      # [copy, generate]; None in generate-only mode
     gen_probs: Tensor
-    copy_probs: Tensor | None    # None when copying is infeasible this step
+    copy_probs: Tensor | None    # None when copying is infeasible at every row;
+                                 # an infeasible row is all zero
 
 
 @dataclass
@@ -112,7 +123,7 @@ class TreeDecoder:
     def embedding(self) -> Tensor:
         return self._param("dec.embed", (len(self.vocab), self.config.hidden_size))
 
-    def _lstm(self, kind: str, gate: str) -> Tensor:
+    def _lstm_w(self, kind: str, gate: str) -> Tensor:
         d = self.config.hidden_size
         shape = (d,) if kind == "b" else (d, d)
         return self._param(f"dec.lstm.{kind}[{gate}]", shape)
@@ -135,26 +146,31 @@ class TreeDecoder:
         return DecoderState(step=1, hidden=encoder_output.root_hidden,
                             cell=Tensor(np.zeros(d)), decay=np.zeros(len(tree)))
 
+    def _lstm(self, hidden: Tensor, cell: Tensor, prev_token_ids: list[int]) -> Tensor:
+        """The LSTM over the embeddings of ``prev_token_ids`` from (hidden,
+        cell): rows ``[h_1 .. h_T; c_T]``."""
+        x = ad.rows(self.embedding(), prev_token_ids)
+        weights = [self._lstm_w(kind, gate) for gate in "ifou" for kind in "WUb"]
+        return ad.lstm(x, hidden, cell, weights)
+
     def recurrence(self, hidden: Tensor, cell: Tensor, prev_token_id: int) -> tuple[Tensor, Tensor]:
         """One LSTM cell over the embedding of the previously emitted token."""
-        x = ad.embedding_mean(self.embedding(), [prev_token_id])
-        weights = [self._lstm(kind, gate) for gate in "ifou" for kind in "WUb"]
-        state = ad.lstm_cell(x, hidden, cell, weights)
+        state = self._lstm(hidden, cell, [prev_token_id])
         return ad.row(state, 0), ad.row(state, 1)
 
     def attend(self, hidden: Tensor, node_matrix: Tensor) -> tuple[Tensor, Tensor]:
-        """Dot-product attention over node states; returns (weights, vector)."""
-        scores = ad.matmul(node_matrix, hidden)
-        weights = ad.softmax(scores)
-        pooled = ad.matmul(ad.transpose(node_matrix), weights)
-        vector = ad.tanh(ad.matmul(self._attn_w(), ad.concat([pooled, hidden])))
+        """Dot-product attention over node states; returns (weights, vector),
+        one row each per row of ``hidden``."""
+        weights = ad.softmax(ad.linear(hidden, node_matrix))
+        pooled = ad.matmul(weights, node_matrix)
+        vector = ad.tanh(ad.linear(ad.concat([pooled, hidden]), self._attn_w()))
         return weights, vector
 
     def operation_distribution(self, attn_vector: Tensor) -> Tensor:
-        return ad.softmax(ad.matmul(self._op_w(), attn_vector))
+        return ad.softmax(ad.linear(attn_vector, self._op_w()))
 
     def generation_distribution(self, attn_vector: Tensor) -> Tensor:
-        return ad.softmax(ad.matmul(self._gen_w(), attn_vector))
+        return ad.softmax(ad.linear(attn_vector, self._gen_w()))
 
     def copy_keep_mask(self, tree: TokenTypeTree) -> np.ndarray:
         """True where a node may be copied.
@@ -179,38 +195,55 @@ class TreeDecoder:
                           keep: np.ndarray, decay: np.ndarray) -> Tensor | None:
         """Masked softmax of node scores, damped by (1 - decay), renormalized.
 
-        The damped vector is renormalized so training sees a true
-        distribution (argmax decoding is unaffected by the rescaling).
-        Returns None when every node is masked or fully decayed; callers must
-        then force the generate branch.
+        ``decay`` has one row per row of ``attn_vector``. The damped rows are
+        renormalized so training sees a true distribution (argmax decoding
+        is unaffected by the rescaling); a row every node of which is masked
+        or fully decayed is all zero. Returns None when that holds for every
+        row; callers must then force the generate branch.
         """
         if not keep.any():
             return None
-        scores = ad.matmul(node_matrix, attn_vector)
-        base = ad.softmax(scores, keep=keep)
+        base = ad.softmax(ad.linear(attn_vector, node_matrix), keep=keep)
         if not self.config.use_decay or not decay.any():
             return base
-        damped = ad.mul(base, Tensor(1.0 - decay))
-        total = ad.sumall(damped)
-        if float(total.data) <= 0.0:
-            return None
-        return ad.div(damped, total)
+        damped, dead = ad.damp(base, decay)
+        return None if dead.all() else damped
 
-    def step(self, state: DecoderState, node_matrix: Tensor,
-             keep: np.ndarray, prev_token_id: int) -> tuple[DecoderState, StepOutput]:
-        hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
+    def heads(self, hidden: Tensor, node_matrix: Tensor, keep: np.ndarray,
+              decay: np.ndarray) -> StepOutput:
+        """Attention and the three distributions for a hidden state (d,) and
+        its decay (nodes,), or for a (T, d) matrix of them and a (T, nodes)
+        decay matrix."""
         weights, vector = self.attend(hidden, node_matrix)
         gen_probs = self.generation_distribution(vector)
         if self.config.generate_only:
             op_probs, copy_probs = None, None
         else:
             op_probs = self.operation_distribution(vector)
-            copy_probs = self.copy_distribution(vector, node_matrix, keep, state.decay)
+            copy_probs = self.copy_distribution(vector, node_matrix, keep, decay)
+        return StepOutput(attn_weights=weights, attn_vector=vector, op_probs=op_probs,
+                          gen_probs=gen_probs, copy_probs=copy_probs)
+
+    def step(self, state: DecoderState, node_matrix: Tensor,
+             keep: np.ndarray, prev_token_id: int) -> tuple[DecoderState, StepOutput]:
+        hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
         new_state = DecoderState(step=state.step + 1, hidden=hidden, cell=cell,
                                  decay=state.decay, emitted=state.emitted)
-        return new_state, StepOutput(attn_weights=weights, attn_vector=vector,
-                                     op_probs=op_probs, gen_probs=gen_probs,
-                                     copy_probs=copy_probs)
+        return new_state, self.heads(hidden, node_matrix, keep, state.decay)
+
+    def teacher_forced(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
+                       prev_token_ids: list[int], decay: np.ndarray) -> StepOutput:
+        """Every step of a known target at once.
+
+        Step t (from 0) is fed ``prev_token_ids[t]`` (BOS first) and sees the
+        decay row ``decay[t]``; each output has one row per step, equal to
+        what ``step`` returns from the same inputs up to summation order.
+        """
+        start = self.initial_state(encoder_output, tree)
+        states = self._lstm(start.hidden, start.cell, prev_token_ids)
+        hidden = ad.rows(states, range(len(prev_token_ids)))
+        return self.heads(hidden, hidden_matrix(encoder_output), self.copy_keep_mask(tree),
+                          decay)
 
     # decoding loops -----------------------------------------------------------
 
@@ -218,15 +251,20 @@ class TreeDecoder:
         if self.config.use_decay and not self.config.generate_only:
             state.decay = decay_update(state.decay, copied_node, self.config.decay_factor)
 
+    def _max_len(self, max_len: int | None) -> int:
+        if max_len is None:
+            return self.config.max_len
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
+        return max_len
+
     def _prev_id(self, token: str | None) -> int:
         return BOS if token is None else self.vocab.id_of(token)
 
     def decode_greedy(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       max_len: int | None = None, trace: list | None = None) -> list[str]:
         """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
-        max_len = max_len or self.config.max_len
-        if max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        max_len = self._max_len(max_len)
         with ad.no_grad():
             node_matrix = hidden_matrix(encoder_output)
             keep = self.copy_keep_mask(tree)
@@ -269,7 +307,7 @@ class TreeDecoder:
         what ``score_trajectory`` would rebuild, so a policy gradient needs no
         replay.
         """
-        max_len = max_len or self.config.max_len
+        max_len = self._max_len(max_len)
         steps: list[TrajectoryStep] = []
         tokens: list[str] = []
         scored: list[tuple[Tensor, Tensor]] = []

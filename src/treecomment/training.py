@@ -5,13 +5,18 @@ The likelihood marginalizes the copy/generate choice at every target
 position: a position's probability is the generate-branch probability of the
 token plus the copy-branch probability summed over every copyable node whose
 full surface matches the aligned span (a matched multi-token span is consumed
-by one step). The policy-gradient surrogate is plain REINFORCE over sampled
-trajectories with per-step reward-to-go and an exponential-moving-average
-baseline.
+by one step). Under teacher forcing every decoder input is known before the
+first step, so ``mle_loss`` builds the fed tokens and the decay rows in
+numpy and scores all positions in one ``TreeDecoder.teacher_forced`` pass:
+one LSTM op, then attention, heads and gathers over all rows at once. The
+policy-gradient surrogate is plain REINFORCE over sampled trajectories with
+per-step reward-to-go and an exponential-moving-average baseline; sampling
+stays step by step.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -22,10 +27,10 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
-from .corpus import (EOS, Example, Vocab, batch_iter, build_vocab, lint_examples,
-                     source_token_stream)
-from .decoder import OP_COPY, OP_GEN, DecoderConfig, Trajectory, TreeDecoder
-from .encoder import EncoderConfig, EncoderOutput, TreeEncoder, hidden_matrix
+from .corpus import (BOS, EOS, Example, Vocab, batch_iter, build_vocab, finishing_units,
+                     follows, lint_examples, node_surface, source_token_stream, unit_spans)
+from .decoder import OP_COPY, OP_GEN, DecoderConfig, StepOutput, Trajectory, TreeDecoder
+from .encoder import EncoderConfig, EncoderOutput, TreeEncoder
 from .params import AdamState, ParamStore, adam_step, clip_global_norm
 from .trees import TokenTypeTree, get_grammar
 
@@ -165,63 +170,82 @@ class TargetUnit:
 
 def segment_target(comment: Sequence[str], tree: TokenTypeTree,
                    decoder: TreeDecoder) -> list[TargetUnit]:
-    """Greedy longest-copy-match alignment of a comment against the tree.
+    """Align a comment against the tree, longest unit first, without
+    stranding the rest of the comment.
 
-    At each position the longest copyable node surface starting there (if
-    any) becomes one unit consuming the whole span; all nodes matching that
-    same span contribute to its copy likelihood. Single tokens keep both
-    branches when possible.
+    A unit is a copyable node surface or a single token. At each position
+    the longest unit after which the end of the comment is still reachable
+    (the corpus lint's dynamic program, ``corpus.finishing_units``) becomes
+    the next unit; where the end is unreachable, the longest matching
+    surface is taken, or else a single token. All nodes matching the chosen
+    span contribute to its copy likelihood. Single tokens keep both branches
+    when possible.
     """
     keep = decoder.copy_keep_mask(tree)
-    surfaces = [(n.id, tuple(t.lower() for t in n.tokens))
-                for n in tree.nodes if keep[n.id]]
+    surfaces = [(n.id, node_surface(n.tokens)) for n in tree.nodes if keep[n.id]]
     vocab = decoder.vocab
-    units: list[TargetUnit] = []
-    i = 0
     comment = tuple(comment)
+    spans = unit_spans(comment, (s for _, s in surfaces), vocab)
+    finishing = finishing_units(comment, spans)
+    units: list[TargetUnit] = []
+    i = prev = 0
     while i < len(comment):
-        matched = [(nid, s) for nid, s in surfaces if comment[i:i + len(s)] == s]
-        span = max((len(s) for _, s in matched), default=0)
+        fits = [n for n in finishing[i] if follows(comment, i, n, prev)]
+        span = max(fits or spans[i], default=1)
+        matched = [nid for nid, s in surfaces if len(s) == span and comment[i:i + span] == s]
         if span >= 2:
-            node_ids = tuple(nid for nid, s in matched if len(s) == span)
-            units.append(TargetUnit(tokens=comment[i:i + span],
-                                    node_ids=node_ids, vocab_id=None))
-            i += span
+            units.append(TargetUnit(tokens=comment[i:i + span], node_ids=tuple(matched),
+                                    vocab_id=None))
         else:
             token = comment[i]
-            node_ids = tuple(nid for nid, s in matched if len(s) == 1)
-            vid = vocab.token_to_id.get(token)
-            units.append(TargetUnit(tokens=(token,), node_ids=node_ids, vocab_id=vid))
-            i += 1
+            units.append(TargetUnit(tokens=(token,), node_ids=tuple(matched),
+                                    vocab_id=vocab.token_to_id.get(token)))
+        i, prev = i + span, span
     units.append(TargetUnit(tokens=(), node_ids=(), vocab_id=EOS, is_eos=True))
     return units
 
 
-def _unit_probability(unit: TargetUnit, step_out, copy_feasible: bool) -> Tensor | None:
-    """Operation-marginalized probability of one aligned unit; None when no
-    branch can produce it."""
-    if unit.is_eos:
-        eos_p = ad.at(step_out.gen_probs, EOS)
-        if step_out.op_probs is None or not copy_feasible:
-            return eos_p
-        return ad.mul(ad.at(step_out.op_probs, OP_GEN), eos_p)
-    parts: list[Tensor] = []
-    if step_out.op_probs is None or not copy_feasible:
-        if unit.vocab_id is not None:
-            parts.append(ad.at(step_out.gen_probs, unit.vocab_id))
-    else:
-        if unit.vocab_id is not None:
-            parts.append(ad.mul(ad.at(step_out.op_probs, OP_GEN),
-                                ad.at(step_out.gen_probs, unit.vocab_id)))
-        if unit.node_ids:
-            copied = ad.sumall(ad.take(step_out.copy_probs, unit.node_ids))
-            parts.append(ad.mul(ad.at(step_out.op_probs, OP_COPY), copied))
-    if not parts:
-        return None
-    total = parts[0]
-    for p in parts[1:]:
-        total = ad.add(total, p)
-    return total
+def _teacher_inputs(units: Sequence[TargetUnit], num_nodes: int,
+                    decoder: TreeDecoder) -> tuple[list[int], np.ndarray]:
+    """The token id fed at each step (BOS first) and the (steps, nodes)
+    decay matrix each step sees, for the aligned units of one target."""
+    cfg = decoder.config
+    prev_ids = [BOS]
+    decay = np.zeros((len(units), num_nodes))
+    for t, unit in enumerate(units[:-1]):  # the final EOS unit feeds nothing
+        prev_ids.append(decoder._prev_id(unit.tokens[-1]))
+        if cfg.use_decay and not cfg.generate_only:
+            # teacher forcing marks every node matching a forced copy span;
+            # single-token units are operation-ambiguous and leave decay alone
+            decay[t + 1] = decay[t] * cfg.decay_factor
+            if len(unit.tokens) >= 2:
+                decay[t + 1, list(unit.node_ids)] = 1.0
+    return prev_ids, decay
+
+
+def _unit_probabilities(units: Sequence[TargetUnit], out: StepOutput) -> Tensor:
+    """Operation-marginalized probability of each aligned unit, one per row
+    of the teacher-forced outputs; exactly 0 where no action produces it."""
+    gen = [(t, u.vocab_id) for t, u in enumerate(units) if u.vocab_id is not None]
+    p_gen = ad.pick(out.gen_probs, [t for t, _ in gen], [v for _, v in gen])
+    if out.op_probs is None:  # generate-only
+        return p_gen
+    copy_ok = np.zeros(len(units), dtype=bool) if out.copy_probs is None \
+        else out.copy_probs.data.any(axis=1)
+    ok_rows = np.flatnonzero(copy_ok)
+    # the generate branch weighs p(generate) where copying is feasible, and
+    # exactly 1 where the operation is forced
+    w_gen = ad.pick(out.op_probs, ok_rows, np.full(len(ok_rows), OP_GEN))
+    if not copy_ok.all():
+        w_gen = ad.add(w_gen, Tensor((~copy_ok).astype(np.float64)))
+    p = ad.mul(w_gen, p_gen)
+    copies = [(t, nid) for t in ok_rows for nid in units[t].node_ids]
+    if copies:
+        copy_rows = sorted({t for t, _ in copies})
+        w_copy = ad.pick(out.op_probs, copy_rows, np.full(len(copy_rows), OP_COPY))
+        p_copy = ad.pick(out.copy_probs, [t for t, _ in copies], [n for _, n in copies])
+        p = ad.add(p, ad.mul(w_copy, p_copy))
+    return p
 
 
 def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
@@ -232,33 +256,19 @@ def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
     ``encoded`` is the example's encoding when the caller already has it."""
     tree = example.tree
     enc = encoder.encode(tree) if encoded is None else encoded
-    node_matrix = hidden_matrix(enc)
-    keep = decoder.copy_keep_mask(tree)
-    state = decoder.initial_state(enc, tree)
     units = segment_target(example.comment, tree, decoder)
-    prev: str | None = None
-    total: Tensor | None = None
-    for unit in units:
-        state, step_out = decoder.step(state, node_matrix, keep, decoder._prev_id(prev))
-        feasible = step_out.copy_probs is not None
-        p = _unit_probability(unit, step_out, feasible)
-        if p is None or float(p.data) <= 0.0:
-            log.warning("unreachable target unit %r (no action assigns it "
-                        "probability); guarding the loss", unit.tokens)
-            term = Tensor(np.asarray(GUARD_LOGP))
-        else:
-            term = ad.log(p)
-        total = term if total is None else ad.add(total, term)
-        if not unit.is_eos:
-            if decoder.config.use_decay and not decoder.config.generate_only:
-                # teacher forcing marks every node matching a forced copy span;
-                # single-token units are operation-ambiguous and leave decay alone
-                new_decay = state.decay * decoder.config.decay_factor
-                if len(unit.tokens) >= 2:
-                    for nid in unit.node_ids:
-                        new_decay[nid] = 1.0
-                state.decay = new_decay
-            prev = unit.tokens[-1]
+    prev_ids, decay = _teacher_inputs(units, len(tree), decoder)
+    probs = _unit_probabilities(units, decoder.teacher_forced(enc, tree, prev_ids, decay))
+    scored = ~(probs.data <= 0.0)  # a NaN stays in, so the loss shows it
+    for unit in itertools.compress(units, ~scored):
+        log.warning("unreachable target unit %r (no action assigns it "
+                    "probability); guarding the loss", unit.tokens)
+    if not scored.all():
+        probs = ad.take(probs, np.flatnonzero(scored))
+    total = ad.sumall(ad.log(probs))
+    guards = len(units) - int(scored.sum())
+    if guards:
+        total = ad.add(total, Tensor(np.asarray(guards * GUARD_LOGP)))
     return ad.mul(total, -1.0)
 
 

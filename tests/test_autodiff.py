@@ -56,17 +56,26 @@ class TestPrimitivesForward:
         assert ad.take(out, [2, 0]).data.tolist() == [3.0, 1.0]
 
     def test_lstm_cell_equals_gate_composition(self):
+        # one step of the LSTM op; it stacks the gate products, so its
+        # forward agrees with the per-gate composition to rounding
         def composed(p):
-            w = lstm_weights(p)
-            x, h, c = p["x"], p["y"], p["pos"]
-            act = [ad.add(ad.add(ad.matmul(w[k], x), ad.matmul(w[k + 1], h)), w[k + 2])
-                   for k in range(0, 12, 3)]
-            i, f, o = (ad.sigmoid(a) for a in act[:3])
-            cell = ad.add(ad.mul(f, c), ad.mul(i, ad.tanh(act[3])))
-            return ad.mul(o, ad.tanh(cell)), cell
+            return lstm_composition(p, [p["x"]])
 
         assert_fused_equals_composition(
-            lambda p: ad.lstm_cell(p["x"], p["y"], p["pos"], lstm_weights(p)), composed)
+            lambda p: ad.lstm(ad.stack_rows([p["x"]]), p["y"], p["pos"], lstm_weights(p)),
+            composed, forward_atol=1e-14)
+
+    def test_lstm_steps_equal_chained_gate_compositions(self):
+        def composed(p):
+            inputs = [ad.row(p["m"], j) for j in (2, 0, 1)]
+            return lstm_composition(p, inputs)
+
+        def fused(p):
+            out = ad.lstm(ad.rows(p["m"], [2, 0, 1]), p["y"], p["pos"], lstm_weights(p))
+            # [h_3; c_3], the state the composition ends in
+            return ad.rows(out, [2, 3])
+
+        assert_fused_equals_composition(fused, composed, forward_atol=1e-14)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_tree_lstm_node_equals_gate_composition(self, shared):
@@ -90,7 +99,9 @@ class TestPrimitivesForward:
     def test_fused_cells_reject_bad_arity(self):
         p = op_params()
         with pytest.raises(ShapeError):
-            ad.lstm_cell(p["x"], p["y"], p["pos"], lstm_weights(p)[:11])
+            ad.lstm(p["m"], p["y"], p["pos"], lstm_weights(p)[:11])
+        with pytest.raises(ShapeError):  # inputs must be one row per step
+            ad.lstm(p["x"], p["y"], p["pos"], lstm_weights(p))
         gate = (p["sq0"], p["vec0"], [p["sq1"]])
         with pytest.raises(ShapeError):  # one child but no forget triple
             ad.tree_lstm_node(p["x"], [p["y"]], [p["pos"]], [gate] * 3, [])
@@ -203,17 +214,29 @@ def op_params():
         params[f"sq{i}"] = leaf(0.5 * rng.normal(size=(4, 4)))
     for i in range(4):
         params[f"vec{i}"] = leaf(0.5 * rng.normal(size=4))
+    # for the row-batched ops: a (2, 4) weight and a positive (3, 4) matrix
+    params["w"] = leaf(rng.normal(size=(2, 4)))
+    params["pm"] = leaf(rng.uniform(0.5, 2.0, size=(3, 4)))
     return params
 
 
-def assert_fused_equals_composition(fused_fn, composed_fn):
+# decay rows for ``damp``: renormalized, passed through, and dead (every
+# entry fully decayed)
+DAMP_ROWS = np.array([[0.5, 0.0, 1.0, 0.25], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+
+
+def assert_fused_equals_composition(fused_fn, composed_fn, forward_atol=0.0):
     """A fused cell's [h; c] equals the per-gate composition of primitives
-    bitwise, and its gradients match within 1e-12 (summation order only)."""
+    (bitwise unless ``forward_atol`` allows rounding), and its gradients
+    match within 1e-12 (summation order only)."""
     fused_params, composed_params = op_params(), op_params()
     fused = fused_fn(fused_params)
     hidden, cell = composed_fn(composed_params)
-    assert np.array_equal(ad.row(fused, 0).data, hidden.data)
-    assert np.array_equal(ad.row(fused, 1).data, cell.data)
+    for got, want in ((ad.row(fused, 0), hidden), (ad.row(fused, 1), cell)):
+        if forward_atol:
+            assert np.allclose(got.data, want.data, rtol=0.0, atol=forward_atol)
+        else:
+            assert np.array_equal(got.data, want.data)
     weighted(fused).backward()
     weighted(ad.stack_rows([hidden, cell])).backward()
     for name, p in fused_params.items():
@@ -222,6 +245,20 @@ def assert_fused_equals_composition(fused_fn, composed_fn):
             assert p.grad is None and q.grad is None, name
         else:
             assert np.allclose(p.grad, q.grad, rtol=0.0, atol=1e-12), name
+
+
+def lstm_composition(p, inputs):
+    """The LSTM as per-gate primitives, one step per input vector from the
+    states (y, pos); returns the last (h, c)."""
+    w = lstm_weights(p)
+    h, c = p["y"], p["pos"]
+    for x in inputs:
+        act = [ad.add(ad.add(ad.matmul(w[k], x), ad.matmul(w[k + 1], h)), w[k + 2])
+               for k in range(0, 12, 3)]
+        i, f, o = (ad.sigmoid(a) for a in act[:3])
+        c = ad.add(ad.mul(f, c), ad.mul(i, ad.tanh(act[3])))
+        h = ad.mul(o, ad.tanh(c))
+    return h, c
 
 
 def lstm_weights(p):
@@ -277,12 +314,26 @@ OP_LOSSES = {
     "take_repeated": lambda p: weighted(ad.take(p["x"], [2, 0, 2, 2])),
     "embedding_mean": lambda p: weighted(ad.embedding_mean(p["table"], [4, 1, 4])),
     "row": lambda p: weighted(ad.row(p["m"], 1)),
+    "rows_repeated": lambda p: weighted(ad.rows(p["table"], [4, 1, 4])),
+    "linear_vector": lambda p: weighted(ad.linear(p["x"], p["w"])),
+    "linear_matrix": lambda p: weighted(ad.linear(p["m"], p["w"])),
+    "matmul_vector_left": lambda p: weighted(ad.matmul(p["x"], p["n"])),
+    "concat_rows": lambda p: weighted(ad.concat([p["m"], ad.rows(p["table"], [0, 1, 2]),
+                                                 p["m"]])),
+    "softmax_rows": lambda p: weighted(ad.softmax(p["m"])),
+    "softmax_rows_masked": lambda p: weighted(
+        ad.softmax(p["m"], keep=np.array([True, False, True, True]))),
+    "pick": lambda p: weighted(ad.pick(p["m"], [0, 2, 2, 0], [1, 3, 0, 1])),
+    "damp_vector": lambda p: weighted(ad.damp(p["pos"], DAMP_ROWS[0])[0]),
+    "damp_rows": lambda p: weighted(ad.damp(p["pm"], DAMP_ROWS)[0]),
 }
 
 # one probe loss per fused cell layout
 FUSED_LOSSES = {
-    "lstm_cell": lambda p: weighted(ad.lstm_cell(p["x"], p["y"], p["pos"],
-                                                 lstm_weights(p))),
+    "lstm_cell": lambda p: weighted(ad.lstm(ad.stack_rows([p["x"]]), p["y"], p["pos"],
+                                            lstm_weights(p))),
+    "lstm_steps": lambda p: weighted(ad.lstm(ad.rows(p["m"], [2, 0, 2, 1]), p["y"],
+                                             p["pos"], lstm_weights(p))),
     "tree_lstm_node_leaf": lambda p: weighted(tree_node(p, 0)),
     "tree_lstm_node_arity3": lambda p: weighted(tree_node(p, 3)),
     "tree_lstm_node_shared": lambda p: weighted(tree_node(p, 3, shared=True)),

@@ -144,6 +144,17 @@ class TestTrainGenerateEvaluate:
         assert code == 0
         assert len(out.splitlines()) == 1
 
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_generate_rejects_max_len_below_one_before_loading(self, tmp_path, max_len,
+                                                               capsys):
+        # the run directory does not exist: loading it would exit 2
+        code, out, err = run(["generate", "--run-dir", str(tmp_path / "missing"),
+                              "--input", str(tmp_path / "missing.jsonl"),
+                              "--max-len", max_len], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--max-len" in err
+
     def test_generate_refuses_untrained_grammar(self, tmp_path, corpus_path, capsys):
         # a wikisql run has no weights for lambda-calculus node types; serving
         # freshly initialized ones would print words from untrained weights

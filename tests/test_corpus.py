@@ -167,6 +167,17 @@ class TestLinter:
         vocab = build_vocab([["col", "is"]], min_freq=1)
         assert lint_examples([ex], vocab) == []
 
+    def test_back_to_back_copy_of_one_span_reported(self):
+        # copying 'two words' fully decays its node, so the second copy is
+        # impossible and neither token is in the vocabulary
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        ex = Example(tree=tree, comment=("two", "words", "two", "words"))
+        problems = lint_examples([ex], build_vocab([["col"]], min_freq=1))
+        assert [p.position for p in problems] == [2]
+        assert "copy decay" in problems[0].message
+        vocab = build_vocab([["two", "words"]], min_freq=1)
+        assert lint_examples([ex], vocab) == []
+
     def test_masked_types_not_copyable(self):
         tree = parse_sql("SELECT col FROM t WHERE a = 'v'")
         surfaces = copyable_surfaces(tree)

@@ -4,7 +4,7 @@ from conftest import make_model, random_tree
 
 from treecomment import autodiff as ad
 from treecomment.autodiff import Tensor
-from treecomment.corpus import EOS
+from treecomment.corpus import BOS, EOS
 from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, decay_update
 from treecomment.encoder import hidden_matrix
 from treecomment.parsers import parse_sql
@@ -271,6 +271,18 @@ class TestGreedy:
             assert set(entry) >= {"step", "attention", "op_probs", "action",
                                   "emitted", "decay"}
 
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_max_len_below_one_rejected(self, max_len):
+        _, encoder, decoder = make_model(seed=26)
+        tree = random_tree(np.random.default_rng(5))
+        enc = encoder.encode(tree)
+        with pytest.raises(ValueError, match="max_len"):
+            decoder.decode_greedy(enc, tree, max_len=max_len)
+        with pytest.raises(ValueError, match="max_len"):
+            decoder.decode_sample(enc, tree, np.random.default_rng(0), max_len=max_len)
+        with pytest.raises(ValueError, match="max_len"):
+            DecoderConfig(hidden_size=4, max_len=max_len)
+
     def test_generate_only_never_copies(self):
         _, encoder, decoder = make_model(seed=25, generate_only=True)
         tree = random_tree(np.random.default_rng(4))
@@ -336,3 +348,105 @@ class TestSampling:
                 if s.action == OP_COPY:
                     node = tree.node(s.choice)
                     assert s.tokens == tuple(t.lower() for t in node.tokens)
+
+
+class TestStepTape:
+    def test_step_records_sixteen_ops_plus_one_for_damping(self, monkeypatch):
+        # LSTM 4 (rows, lstm, two row reads), attention 6, two heads 2 each,
+        # copy scores and masked softmax 2, and damping 1 when a node decays
+        _, encoder, decoder = make_model(seed=27)
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        enc, mat = encoded(encoder, tree)
+        keep = decoder.copy_keep_mask(tree)
+        calls = []
+        result = ad._result
+        monkeypatch.setattr(ad, "_result", lambda *a, **k: calls.append(1) or result(*a, **k))
+        for decay, ops in ((np.zeros(len(tree)), 16), (np.where(keep, 0.5, 0.0), 17)):
+            state = decoder.initial_state(enc, tree)
+            state.decay = decay
+            calls.clear()
+            decoder.step(state, mat, keep, 1)
+            assert len(calls) == ops
+
+
+class TestTeacherForced:
+    """``teacher_forced`` runs the heads once over all positions; row t must
+    equal what ``step`` returns at step t from the same fed token and decay
+    row, and the gradients through both must agree."""
+
+    @staticmethod
+    def trees(rng):
+        yield parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        # nothing copyable under the grammar mask; with the mask off the
+        # comparison operator is
+        yield TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                            grammar="wikisql")
+        for _ in range(6):
+            yield random_tree(rng)
+
+    @staticmethod
+    def inputs(rng, decoder, tree):
+        steps = int(rng.integers(1, 6))
+        prev_ids = [BOS] + [int(i) for i in rng.integers(len(decoder.vocab), size=steps - 1)]
+        decay = rng.choice([0.0, 0.0, 0.25, 0.5], size=(steps, len(tree)))
+        decay[0] = 0.0
+        decay[steps // 2] = 1.0  # every node fully decayed: copying infeasible
+        return prev_ids, decay
+
+    @pytest.mark.parametrize("flags", [{}, {"generate_only": True}, {"use_mask": False},
+                                       {"use_decay": False}, {"untyped": True}],
+                             ids=["default", "generate_only", "no_mask", "no_decay",
+                                  "untyped"])
+    def test_rows_equal_steps(self, flags):
+        rng = np.random.default_rng(61)
+        store, encoder, decoder = make_model(seed=61, **flags)
+        seen = {"infeasible": 0, "feasible": 0}
+        for tree in self.trees(rng):
+            prev_ids, decay = self.inputs(rng, decoder, tree)
+            weights = {name: rng.normal(size=(len(prev_ids), n))
+                       for name, n in (("attn_weights", len(tree)), ("attn_vector", 6),
+                                       ("op_probs", 2), ("gen_probs", len(decoder.vocab)),
+                                       ("copy_probs", len(tree)))}
+
+            store.zero_grads()
+            enc = encoder.encode(tree)
+            forced = decoder.teacher_forced(enc, tree, prev_ids, decay)
+            self.probe([(name, getattr(forced, name), w) for name, w in weights.items()
+                        if getattr(forced, name) is not None]).backward()
+            forced_grads = {name: p.grad.copy() for name, p in store.items()}
+
+            store.zero_grads()
+            enc = encoder.encode(tree)
+            mat = hidden_matrix(enc)
+            keep = decoder.copy_keep_mask(tree)
+            state = decoder.initial_state(enc, tree)
+            terms = []
+            for t, prev in enumerate(prev_ids):
+                state.decay = decay[t]
+                state, out = decoder.step(state, mat, keep, prev)
+                for name, w in weights.items():
+                    got, want = getattr(forced, name), getattr(out, name)
+                    if name == "copy_probs" and got is not None and want is None:
+                        # an infeasible row of the forced output is all zero
+                        assert np.array_equal(got.data[t], np.zeros(len(tree)))
+                        seen["infeasible"] += 1
+                        continue
+                    if want is None:
+                        assert got is None, name
+                        continue
+                    assert np.allclose(got.data[t], want.data, rtol=0.0, atol=1e-12), name
+                    seen["feasible"] += name == "copy_probs"
+                    terms.append((name, want, w[t]))
+            self.probe(terms).backward()
+            for name, p in store.items():
+                assert np.allclose(forced_grads[name], p.grad, rtol=0.0, atol=1e-12), name
+        if not (flags.get("generate_only") or flags.get("use_decay") is False):
+            assert seen["infeasible"] and seen["feasible"]
+
+    @staticmethod
+    def probe(terms):
+        total = None
+        for _, tensor, w in terms:
+            term = ad.sumall(ad.mul(tensor, Tensor(w)))
+            total = term if total is None else ad.add(total, term)
+        return total

@@ -1,17 +1,22 @@
 import gc
+import logging
 import math
 
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import WORDS, make_model, random_tree, word_vocab
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treecomment import autodiff as ad
 from treecomment import metrics
-from treecomment.corpus import EOS, Example, examples_from_pairs, generate_synthetic
-from treecomment.decoder import OP_COPY, OP_GEN
-from treecomment.encoder import hidden_matrix
-from treecomment.params import AdamState, adam_step
+from treecomment.corpus import (EOS, Example, build_vocab, examples_from_pairs,
+                                generate_synthetic, lint_examples, node_surface)
+from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, TreeDecoder
+from treecomment.encoder import EncoderConfig, TreeEncoder, hidden_matrix
+from treecomment.params import AdamState, ParamStore, adam_step
 from treecomment.parsers import parse_sql
+from treecomment.trees import Node, TokenTypeTree, get_grammar
 from treecomment.training import (Baseline, GUARD_LOGP, TrainConfig, config_from_text,
                                   config_to_text, greedy_candidates, hrl_loss, mle_loss,
                                   mle_weight, mixed_loss, quantize_reward, reward_function,
@@ -47,6 +52,97 @@ class TestSegmentation:
         _, _, decoder = make_model(generate_only=True)
         units = segment_target(("otkrytie", "arena"), self.tree(), decoder)
         assert all(len(u.tokens) <= 1 for u in units)
+
+
+class GuardLog(logging.Handler):
+    """Collects the loss guard's warnings from the training logger."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.units = []
+
+    def emit(self, record):
+        if record.getMessage().startswith("unreachable target unit"):
+            self.units.append(record.args[0])
+
+
+def guarded_units(example, target_words, seed=70):
+    """Units ``mle_loss`` guards for ``example`` under a default-flag model
+    whose target vocabulary is ``target_words``; also returns the loss."""
+    grammar = get_grammar(example.tree.grammar)
+    store = ParamStore(seed=seed)
+    encoder = TreeEncoder(store, grammar, word_vocab(), EncoderConfig(hidden_size=6))
+    decoder = TreeDecoder(store, grammar, build_vocab([list(target_words)], min_freq=1),
+                          DecoderConfig(hidden_size=6))
+    guards = GuardLog()
+    logger = logging.getLogger("treecomment.training")
+    logger.addHandler(guards)
+    try:
+        loss = mle_loss(example, encoder, decoder)
+    finally:
+        logger.removeHandler(guards)
+    return guards.units, float(loss.data), decoder
+
+
+def literal_tree(*literals):
+    """A ``stmt`` over copyable nodes: (type, tokens) per child."""
+    kids = tuple(Node(k, node_type, tokens, ()) for k, (node_type, tokens)
+                 in enumerate(literals, start=1))
+    return TokenTypeTree(nodes=(Node(0, "stmt", (), tuple(range(1, len(kids) + 1))),
+                                *kids), grammar="wikisql")
+
+
+class TestLintAgreesWithLoss:
+    def test_overlapping_spans_take_the_reachable_split(self):
+        # greedy longest match takes (a b) and strands c, which is neither in
+        # the vocabulary nor a surface; the lint splits a | b c
+        tree = literal_tree(("column_name", ("a", "b")), ("string", ("b", "c")))
+        ex = Example(tree=tree, comment=("a", "b", "c"))
+        assert lint_examples([ex], build_vocab([["a"]], min_freq=1)) == []
+        guards, loss, decoder = guarded_units(ex, ["a"])
+        assert guards == []
+        assert loss < -GUARD_LOGP / 2
+        units = segment_target(ex.comment, tree, decoder)
+        assert [u.tokens for u in units] == [("a",), ("b", "c"), ()]
+
+    def test_back_to_back_copy_of_one_span_splits_into_tokens(self):
+        # copying (a b) fully decays its node, so the repeat must be spelt
+        # out from the vocabulary
+        tree = literal_tree(("string", ("a", "b")))
+        ex = Example(tree=tree, comment=("a", "b", "a", "b"))
+        guards, _, decoder = guarded_units(ex, ["a", "b"])
+        assert guards == []
+        units = segment_target(ex.comment, tree, decoder)
+        assert [u.tokens for u in units] == [("a", "b"), ("a",), ("b",), ()]
+
+    def test_greedy_segmentation_kept_where_it_reaches_the_end(self):
+        _, _, decoder = make_model(target_extra=("col", "is"))
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Otkrytie Arena'")
+        units = segment_target(("col", "is", "otkrytie", "arena", "col"), tree, decoder)
+        assert [u.tokens for u in units] == [("col",), ("is",), ("otkrytie", "arena"),
+                                             ("col",), ()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           picks=st.lists(st.integers(0, 13), min_size=1, max_size=6),
+           target_words=st.sets(st.sampled_from(WORDS)))
+    def test_lint_passed_comment_takes_no_guard(self, seed, picks, target_words):
+        # comments are spliced from node surfaces (masked ones too) and
+        # single words, one of them never in the vocabulary
+        tree = random_tree(np.random.default_rng(seed))
+        surfaces = [node_surface(n.tokens) for n in tree.nodes if n.tokens]
+        words = (*WORDS, "omega")
+        comment = []
+        for k in picks:
+            if k % 2 == 0 and surfaces:
+                comment.extend(surfaces[k // 2 % len(surfaces)])
+            else:
+                comment.append(words[k % len(words)])
+        ex = Example(tree=tree, comment=tuple(comment))
+        assume(not lint_examples([ex], build_vocab([list(target_words)], min_freq=1)))
+        guards, loss, _ = guarded_units(ex, target_words)
+        assert guards == []
+        assert np.isfinite(loss)
 
 
 class TestMleLoss:
