@@ -18,11 +18,10 @@ store = ParamStore(seed=0)
 encoder = TreeEncoder(store, grammar, vocab, EncoderConfig(hidden_size=16))
 
 tree = parse_sql("SELECT MAX(Capacity) FROM table WHERE Stadium = 'x'")
-out = encoder.encode(tree)
-print("nodes encoded:", len(out.hidden))
+out = encoder.encode(tree)  # encode_batch([tree])[0]: one op for the whole tree
+print("hidden states (nodes x hidden):", out.hidden.shape)
 print("root hidden (first 5):", np.round(out.root_hidden.data[:5], 4))
-print("all components strictly inside (-1, 1):",
-      bool(np.all(np.abs(np.stack([h.data for h in out.hidden])) < 1)))
+print("all components strictly inside (-1, 1):", bool(np.all(np.abs(out.hidden.data) < 1)))
 
 # same structure and tokens, one node's type changed: the summary moves
 base = TokenTypeTree(nodes=(Node(0, "stmt", ("select",), (1,)),

@@ -8,7 +8,7 @@ import numpy as np
 from treecomment.autodiff import no_grad
 from treecomment.corpus import build_vocab
 from treecomment.decoder import DecoderConfig, TreeDecoder
-from treecomment.encoder import EncoderConfig, TreeEncoder, hidden_matrix
+from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import ParamStore
 from treecomment.parsers import parse_sql
 from treecomment.trees import get_grammar
@@ -24,7 +24,6 @@ decoder = TreeDecoder(store, grammar, tgt_vocab,
 
 tree = parse_sql("SELECT Capacity FROM table WHERE Stadium = 'Otkrytie Arena'")
 enc = encoder.encode(tree)
-mat = hidden_matrix(enc)
 keep = decoder.copy_keep_mask(tree)
 
 print("copyable nodes (grammar-available types with tokens):")
@@ -33,7 +32,7 @@ for n in tree.nodes:
     print(f"  node {n.id} {n.type:<12} {str(list(n.tokens)):<24} {tag}")
 
 state = decoder.initial_state(enc, tree)
-state, out = decoder.step(state, mat, keep, prev_token_id=1)
+state, out = decoder.step(state, enc.hidden, keep, prev_token_id=1)
 print("\noperation distribution [copy, generate]:", np.round(out.op_probs.data, 3))
 print("copy distribution:", np.round(out.copy_probs.data, 3))
 print("masked probabilities are exactly zero:",

@@ -4,23 +4,28 @@ The graph is dynamic and rebuilt per example (tree shapes vary). A traced
 operation records three things on its output: the input tensors
 (``_parents``), a module-level backward function (``_backward``) and at most
 one small context value the forward result does not already hold
-(``_ctx``: a scalar factor, an index array, a divisor, or the gate values of
-a fused cell). ``backward()`` on a scalar calls
+(``_ctx``: a scalar factor, an index array, a divisor, or the gate values
+and index plan of a fused cell). ``backward()`` on a scalar calls
 ``_backward(node, node.grad, node._parents)`` for every traced ancestor in
 reverse topological order, then clears the three slots so a tape is never
 replayed twice. The walk pushes only traced tensors; leaves just receive
 gradients. Graphs are never shared between threads.
 
 Most of the cost of a tape is Python bookkeeping per op, not arithmetic, so
-the recurrent cells are fused. ``tree_lstm_node`` (one encoder node)
-records a single op whose forward evaluates the same numpy expressions, in
-the same order, as the per-gate composition of primitives. ``lstm`` runs T
+the recurrent cells are fused and batched. ``tree_lstm`` runs an N-ary
+Tree-LSTM over every node of a forest as one op, by the index plan of a
+``TreePlan``: level by level over node height, one matrix product per
+weight (for the input weights, one per weight for the whole forest), and a
+hand-written backward that runs the levels top-down and forms each weight
+gradient as one matrix product over all the rows that used the weight. It
+knows no grammar: the plan names weights by integer keys. ``lstm`` runs T
 decoder steps as one op: the input products of all four gates are one
 matrix product over the T rows, each step adds one stacked recurrent
 product, and the backward is hand-written BPTT whose weight gradients are
 again one matrix product over all steps. Both return a matrix of states
-(``[h; c]`` for a node, ``[h_1 .. h_T; c_T]`` for the LSTM) that ``row`` and
-``rows`` read.
+(``[H; C]`` for a forest, ``[h_1 .. h_T; c_T]`` for the LSTM) that ``row``
+and ``rows`` read; ``embedding_means`` gives the token-mean inputs of all
+of a forest's nodes at once.
 
 The ops the decoder heads need work on a single vector or on a matrix with
 one row per position: ``linear`` (``x @ W.T``), ``softmax`` and ``concat``
@@ -334,7 +339,10 @@ def _rows_bw(out, g, parents):
     m = parents[0]
     if m.grad is None:
         m.grad = np.zeros_like(m.data)
-    np.add.at(m.grad, out._ctx, g)
+    if isinstance(out._ctx, slice):
+        m.grad[out._ctx] += g
+    else:
+        np.add.at(m.grad, out._ctx, g)
 
 
 def _pick_bw(out, g, parents):
@@ -352,22 +360,6 @@ def _damp_bw(out, g, parents):
     y = out.data
     gd = (g - (g * y).sum(axis=-1, keepdims=True)) / total
     parents[0]._accumulate(np.where(live, gd * keep, np.where(active, 0.0, g)))
-
-
-def _affine_maps_grads(das, x, hs, maps):
-    """Accumulate the gradients of the affine maps ``W @ x + b + sum_j U_j @
-    h_j``, one (W, b, (U_1 .. U_n)) triple in ``maps`` per pre-activation
-    gradient in ``das``. Returns the gradients of ``x`` and of each ``h_j``."""
-    dx = np.zeros_like(x.data)
-    dhs = [np.zeros_like(h.data) for h in hs]
-    for da, (w, b, us) in zip(das, maps):
-        w._accumulate(da[:, None] * x.data)
-        b._accumulate(da)
-        dx += w.data.T @ da
-        for u, h, dh in zip(us, hs, dhs):
-            u._accumulate(da[:, None] * h.data)
-            dh += u.data.T @ da
-    return dx, dhs
 
 
 def _lstm_bw(out, g, parents):
@@ -410,25 +402,55 @@ def _lstm_bw(out, g, parents):
         parents[5 + 3 * k]._accumulate(db[gate_rows])
 
 
-def _tree_lstm_node_bw(out, g, parents):
-    i, o, u, forgets, tc = out._ctx
-    n = len(forgets)
-    phi, hs, cs = parents[0], parents[1:1 + n], parents[1 + n:1 + 2 * n]
-    gh, gc = g[0], g[1]
-    dc = gc + o * gh * (1.0 - tc * tc)
-    das = [u * dc * i * (1.0 - i),
-           tc * gh * o * (1.0 - o),
-           i * dc * (1.0 - u * u)]
-    das += [ck.data * dc * fk * (1.0 - fk) for fk, ck in zip(forgets, cs)]
-    # parents[1 + 2n:] is (W, b, U_1 .. U_n) per gate: i, o, u, then f per child
-    maps = [(parents[p], parents[p + 1], parents[p + 2:p + 2 + n])
-            for p in range(1 + 2 * n, len(parents), 2 + n)]
-    dphi, dhs = _affine_maps_grads(das, phi, hs, maps)
+def _tree_lstm_bw(out, g, parents):
+    plan, gates = out._ctx
+    phi = parents[0]
+    affine = parents[1:1 + 2 * len(plan.affine)]
+    recurrent = parents[1 + len(affine):]
+    n = plan.nodes
+    hs, cs = out.data[:n], out.data[n:]
+    gh, gc = g[:n].copy(), g[n:].copy()
+    das = np.empty_like(gates)
+    # top-down: a level's gradients are complete once every level above ran
+    for nodes, r0, r1, kids, groups in reversed(plan.levels):
+        m = len(nodes)
+        gate, da = gates[r0:r1], das[r0:r1]
+        i, o, u = gate[:m], gate[m:2 * m], gate[2 * m:3 * m]
+        tc = np.tanh(cs[nodes])
+        dh = gh[nodes]
+        dc = gc[nodes] + o * dh * (1.0 - tc * tc)
+        da[:m] = u * dc * i * (1.0 - i)
+        da[m:2 * m] = tc * dh * o * (1.0 - o)
+        da[2 * m:3 * m] = i * dc * (1.0 - u * u)
+        lo = 3 * m
+        for kid in kids:
+            hi = lo + len(kid)
+            f, dck = gate[lo:hi], dc[:len(kid)]
+            da[lo:hi] = cs[kid] * dck * f * (1.0 - f)
+            gc[kid] += f * dck
+            lo = hi
+        for w, rows, src in groups:
+            np.add.at(gh, src, das[rows] @ recurrent[w].data)
+    # each weight's gradient is one product over every row that used it
+    dphi = np.zeros_like(phi.data)
+    for k, (rows, xs) in enumerate(plan.affine):
+        w, b = affine[2 * k], affine[2 * k + 1]
+        da = das[rows]
+        w._accumulate(da.T @ phi.data[xs])
+        b._accumulate(da.sum(axis=0))
+        np.add.at(dphi, xs, da @ w.data)
+    for u, (rows, src) in zip(recurrent, plan.recurrent):
+        u._accumulate(das[rows].T @ hs[src])
     phi._accumulate(dphi)
-    for hk, dh in zip(hs, dhs):
-        hk._accumulate(dh)
-    for ck, fk in zip(cs, forgets):
-        ck._accumulate(fk * dc)
+
+
+def _embedding_means_bw(out, g, parents):
+    table = parents[0]
+    ids, counts = out._ctx
+    owners = np.repeat(np.arange(counts.size), counts)
+    full = np.zeros_like(table.data)
+    np.add.at(full, ids, g[owners] * (1.0 / counts[owners])[:, None])
+    table._accumulate(full)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -592,6 +614,26 @@ def embedding_mean(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _result(table.data[idx].mean(axis=0), (table,), _embedding_mean_bw, idx)
 
 
+def embedding_means(table: Tensor, ids: Sequence[int], counts: Sequence[int]) -> Tensor:
+    """One mean embedding per row: row r averages the rows of ``table`` named
+    by the next ``counts[r]`` entries of ``ids``, and is zero when
+    ``counts[r]`` is 0. Returns a (len(counts), columns) matrix."""
+    idx = _ids(ids)
+    counts = _ids(counts)
+    if table.data.ndim != 2 or idx.ndim != 1 or counts.ndim != 1 \
+            or (counts < 0).any() or counts.sum() != idx.size:
+        raise ShapeError(f"embedding_means: table {table.shape}, {idx.size} ids and counts "
+                         f"summing to {counts.sum()}")
+    data = np.zeros((counts.size, table.data.shape[1]))
+    filled = np.flatnonzero(counts)
+    if filled.size:
+        starts = (np.cumsum(counts) - counts)[filled]
+        sums = np.add.reduceat(table.data[idx], starts, axis=0)
+        sums /= counts[filled, None]
+        data[filled] = sums
+    return _result(data, (table,), _embedding_means_bw, (idx, counts))
+
+
 def row(m: Tensor, i: int) -> Tensor:
     """Row ``i`` of a 2-D tensor; it shares the matrix's memory."""
     if m.data.ndim != 2:
@@ -599,9 +641,13 @@ def row(m: Tensor, i: int) -> Tensor:
     return _result(m.data[i], (m,), _row_bw, i)
 
 
-def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
+def rows(m: Tensor, ids: Sequence[int] | slice) -> Tensor:
     """Rows ``ids`` of a 2-D tensor, in order and with repeats allowed: a
-    (len(ids), columns) matrix."""
+    (len(ids), columns) matrix. A slice of rows shares the matrix's memory."""
+    if isinstance(ids, slice):
+        if m.data.ndim != 2:
+            raise ShapeError(f"rows: need a 2-D tensor, got {m.shape}")
+        return _result(m.data[ids], (m,), _rows_bw, ids)
     idx = np.asarray(ids, dtype=np.intp)
     if m.data.ndim != 2 or idx.ndim != 1:
         raise ShapeError(f"rows: need a 2-D tensor and 1-D ids, got {m.shape}, {idx.shape}")
@@ -693,46 +739,167 @@ def _stacked_gates(weights):
                  for kind in range(3))
 
 
-def tree_lstm_node(phi: Tensor, child_h: Sequence[Tensor], child_c: Sequence[Tensor],
-                   gate_params, forget_params) -> Tensor:
-    """One N-ary Tree-LSTM node as a single traced op; returns [h; c], (2, d).
+def _ids(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.intp)
 
-    ``gate_params`` holds one (W, b, (U_1 .. U_n)) triple each for the input,
-    output and update gates; ``forget_params`` holds one such triple per
-    child k, for the gate that forgets child k's cell. A gate's
-    pre-activation is ``W @ phi + b + U_1 @ h_1 + ... + U_n @ h_n`` over the
-    children in slot order; ``c = i * u + sum_k f_k * c_k`` and
-    ``h = o * tanh(c)``. One tensor may fill several places (shared weights).
+
+def _runs(*keys: np.ndarray) -> list[int]:
+    """Start offsets of the runs of equal rows in the sorted ``keys``
+    columns, with the total length last."""
+    size = keys[0].size
+    change = np.zeros(size, dtype=bool)
+    change[:1] = True
+    for k in keys:
+        change[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(change).tolist() + [size]
+
+
+class TreePlan:
+    """Index plan of ``tree_lstm`` over a forest of N nodes.
+
+    ``children`` (N, K) lists each node's children in slot order, padded
+    with -1; each child comes after its parent and has one parent, so
+    concatenated trees whose ids list parents first qualify. A node has 3 +
+    n gates for n children: input, output and update, then one per child
+    that forgets its cell. ``affine`` (N, 3 + K) keys each gate's (W, b)
+    pair, and ``recurrent`` (N, 3 + K, K) each gate's U for each child
+    slot; entries past a node's gates or children are ignored. Keys are
+    non-negative integers; ``affine_keys`` and ``recurrent_keys`` list the
+    distinct ones in increasing order, and ``tree_lstm`` takes one (W, b)
+    pair and one U per key, in that order.
+
+    Nodes are grouped into levels by height (leaves are 0), widest first
+    within a level. A level's pre-activation rows are the input, output and
+    update gates of its nodes, then forget block k for the nodes with at
+    least k children, which are a prefix of the level. A group is the rows
+    that read one weight (in one level and slot, for U), with the node each
+    reads from.
     """
-    child_h, child_c = tuple(child_h), tuple(child_c)
-    n = len(child_h)
-    maps = (*gate_params, *forget_params)
-    if len(child_c) != n or len(gate_params) != 3 or len(forget_params) != n \
-            or any(len(us) != n for _, _, us in maps):
-        raise ShapeError(f"tree_lstm_node: {n} children need {n} cells, 3 gate and "
-                         f"{n} forget triples with {n} recurrent weights each")
-    phid = phi.data
-    hs = [t.data for t in child_h]
 
-    def act(w, b, us):
-        a = w.data @ phid + b.data
-        for u, hd in zip(us, hs):
-            a = a + u.data @ hd
-        return a
+    __slots__ = ("nodes", "rows", "affine_keys", "recurrent_keys", "affine", "recurrent",
+                 "levels")
 
-    i = _sigmoid(act(*gate_params[0]))
-    o = _sigmoid(act(*gate_params[1]))
-    u = np.tanh(act(*gate_params[2]))
-    cell = i * u
-    forgets = []
-    for params, ck in zip(forget_params, child_c):
-        fk = _sigmoid(act(*params))
-        forgets.append(fk)
-        cell = cell + fk * ck.data
-    tc = np.tanh(cell)
-    inputs = (phi, *child_h, *child_c) + tuple(t for w, b, us in maps for t in (w, b, *us))
-    return _result(np.stack((o * tc, cell)), inputs, _tree_lstm_node_bw,
-                   (i, o, u, forgets, tc))
+    def __init__(self, children, affine, recurrent):
+        children, affine, recurrent = _ids(children), _ids(affine), _ids(recurrent)
+        if children.ndim != 2:
+            raise ShapeError(f"TreePlan: children must be (nodes, slots), got {children.shape}")
+        n, width = children.shape
+        if affine.shape != (n, 3 + width) or recurrent.shape != (n, 3 + width, width):
+            raise ShapeError(f"TreePlan: keys {affine.shape} and {recurrent.shape} for "
+                             f"{n} nodes of up to {width} children")
+        has = children >= 0
+        arity = has.sum(axis=1)
+        slots = np.arange(width)
+        parent = np.repeat(np.arange(n), arity)
+        kids = children[has]
+        if (has != (slots < arity[:, None])).any() or (kids <= parent).any() \
+                or (kids >= n).any() or np.bincount(kids, minlength=n).max(initial=0) > 1:
+            raise ShapeError("TreePlan: children must fill the first slots, come after "
+                             "their parent and have one parent each")
+        height = np.zeros(n, dtype=np.intp)
+        safe = np.where(has, children, 0)
+        while True:  # one pass per level
+            up = np.where(has, height[safe] + 1, 0).max(axis=1, initial=0)
+            if np.array_equal(up, height):
+                break
+            height = up
+        order = np.lexsort((-arity, height))
+        levels = int(height.max(initial=-1)) + 1
+        starts = np.searchsorted(height[order], np.arange(levels + 1))
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n) - starts[height[order]]
+        # sizes[l, b]: the rows of block b of level l; forget block k holds
+        # the nodes with more than k children
+        count = np.bincount(height * (width + 1) + arity,
+                            minlength=levels * (width + 1)).reshape(levels, width + 1)
+        wide = count[:, ::-1].cumsum(axis=1)[:, ::-1][:, 1:]
+        sizes = np.concatenate([np.repeat(np.diff(starts)[:, None], 3, axis=1), wide], axis=1)
+        block_start = (np.cumsum(sizes) - sizes.ravel()).reshape(sizes.shape)
+        row_of = block_start[height] + pos[:, None]
+        gates = np.arange(3 + width) < (3 + arity)[:, None]
+
+        v, b = np.nonzero(gates)
+        keys, rows = affine[v, b], row_of[v, b]
+        by = np.lexsort((rows, v, keys))
+        keys, rows, v = keys[by], rows[by], v[by]
+        runs = _runs(keys)
+        self.affine_keys = keys[runs[:-1]].tolist()
+        self.affine = [(rows[lo:hi], v[lo:hi]) for lo, hi in zip(runs[:-1], runs[1:])]
+
+        v, b, j = np.nonzero(gates[:, :, None] & (slots < arity[:, None])[:, None, :])
+        keys, rows, src, level = recurrent[v, b, j], row_of[v, b], children[v, j], height[v]
+        by = np.lexsort((rows, src, keys, j, level))
+        keys, rows, src, j, level = keys[by], rows[by], src[by], j[by], level[by]
+        by = np.argsort(keys, kind="stable")
+        runs = _runs(keys[by])
+        self.recurrent_keys = keys[by[runs[:-1]]].tolist()
+        self.recurrent = [(rows[by[lo:hi]], src[by[lo:hi]]) for lo, hi in zip(runs[:-1], runs[1:])]
+        index = np.searchsorted(self.recurrent_keys, keys)
+        runs = _runs(level, j, keys)
+        groups = [[] for _ in range(levels)]
+        for lo, hi in zip(runs[:-1], runs[1:]):
+            groups[level[lo]].append((index[lo], rows[lo:hi], src[lo:hi]))
+
+        self.nodes, self.rows = n, int(sizes.sum())
+        self.levels = []
+        for lev in range(levels):
+            nodes = order[starts[lev]:starts[lev + 1]]
+            kids = [children[nodes[:size], k] for k, size in enumerate(wide[lev]) if size]
+            r0 = int(block_start[lev, 0])
+            self.levels.append((nodes, r0, r0 + int(sizes[lev].sum()), kids, groups[lev]))
+
+
+def tree_lstm(phi: Tensor, affine: Sequence[tuple[Tensor, Tensor]], recurrent: Sequence[Tensor],
+              plan: TreePlan) -> Tensor:
+    """An N-ary Tree-LSTM over every node of a forest as one traced op;
+    returns the (2N, d) matrix ``[H; C]`` of hidden states and cells, row v
+    of each for node v.
+
+    ``phi`` (N, d) holds the node inputs, ``affine`` one (W, b) pair per key
+    of ``plan.affine_keys`` and ``recurrent`` one U per key of
+    ``plan.recurrent_keys`` (see ``TreePlan``). A gate's pre-activation is
+    ``W @ phi_v + b + U_1 @ h_1 + ... + U_n @ h_n`` over v's children in
+    slot order; ``c = i * u + sum_k f_k * c_k`` and ``h = o * tanh(c)``; a
+    leaf has no recurrent terms. Every ``W @ phi + b`` is one matrix product
+    per (W, b) pair for the whole forest; the recurrent terms are one
+    product per U and level, bottom-up. The backward runs the levels
+    top-down and forms each weight gradient as one product over all rows
+    that used the weight.
+    """
+    affine, recurrent = tuple(affine), tuple(recurrent)
+    if phi.data.ndim != 2 or phi.data.shape[0] != plan.nodes \
+            or len(affine) != len(plan.affine_keys) \
+            or len(recurrent) != len(plan.recurrent_keys):
+        raise ShapeError(f"tree_lstm: inputs {phi.shape}, {len(affine)} affine and "
+                         f"{len(recurrent)} recurrent weights for a plan of {plan.nodes} "
+                         f"nodes and {len(plan.affine_keys)} + {len(plan.recurrent_keys)} keys")
+    n, d = phi.data.shape
+    # pre-activations, which each level overwrites with its gate values
+    gates = np.empty((plan.rows, d))
+    for (w, b), (rows, xs) in zip(affine, plan.affine):
+        product = phi.data[xs] @ w.data.T
+        product += b.data
+        gates[rows] = product
+    data = np.zeros((2 * n, d))
+    hs, cs = data[:n], data[n:]
+    for nodes, r0, r1, kids, groups in plan.levels:
+        m = len(nodes)
+        for u, rows, src in groups:  # slots outermost, as the sum runs
+            gates[rows] += hs[src] @ recurrent[u].data.T
+        gate = gates[r0:r1]
+        gate[:2 * m] = _sigmoid(gate[:2 * m])
+        gate[2 * m:3 * m] = np.tanh(gate[2 * m:3 * m])
+        gate[3 * m:] = _sigmoid(gate[3 * m:])
+        cell = gate[:m] * gate[2 * m:3 * m]
+        lo = 3 * m
+        for kid in kids:
+            hi = lo + len(kid)
+            cell[:len(kid)] += gate[lo:hi] * cs[kid]
+            lo = hi
+        cs[nodes] = cell
+        hs[nodes] = gate[m:2 * m] * np.tanh(cell)
+    inputs = (phi,) + tuple(t for pair in affine for t in pair) + recurrent
+    return _result(data, inputs, _tree_lstm_bw, (plan, gates))
 
 
 def finite_difference_check(loss_fn, params, epsilon: float = 1e-5,

@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .corpus import Example, build_vocab, source_token_stream, tokenize_comment
 from .decoder import TreeDecoder
-from .encoder import TreeEncoder, encoder_gradient_check, hidden_matrix
+from .encoder import TreeEncoder, encoder_gradient_check
 from .parsers import parse_sql
 from .training import TrainConfig, build_model, mle_loss
 
@@ -21,6 +21,9 @@ TOLERANCE = 1e-4
 
 GOLDEN_SQL = "SELECT MAX(Capacity) FROM table WHERE Stadium = 'Otkrytie Arena'"
 GOLDEN_COMMENT = "What is the maximum capacity of the Otkrytie Arena stadium ?"
+# batched with the golden tree in the encoder check: one level shallower,
+# and sharing its root type
+SHALLOW_SQL = "SELECT Stadium FROM table"
 
 
 def primitives_check(seed: int = 0) -> float:
@@ -65,7 +68,8 @@ def _toy_model(seed: int = 0, hidden_size: int = 10):
 
 def encoder_check(seed: int = 0) -> float:
     example, encoder, _ = _toy_model(seed)
-    return encoder_gradient_check(encoder, example.tree, epsilon=1e-3, order=4,
+    trees = [example.tree, parse_sql(SHALLOW_SQL)]
+    return encoder_gradient_check(encoder, trees, epsilon=1e-3, order=4,
                                   rng=np.random.default_rng(seed + 2))
 
 
@@ -97,10 +101,9 @@ def decoder_step_check(seed: int = 0) -> float:
 def decoder_probe_loss(encoder: TreeEncoder, decoder: TreeDecoder, tree, keep,
                        decay) -> Tensor:
     enc = encoder.encode(tree)
-    node_matrix = hidden_matrix(enc)
     state = decoder.initial_state(enc, tree)
     state.decay = decay
-    state, out = decoder.step(state, node_matrix, keep, prev_token_id=1)
+    state, out = decoder.step(state, enc.hidden, keep, prev_token_id=1)
     unmasked = int(np.flatnonzero(keep)[0])
     probe = ad.add(ad.log(ad.at(out.op_probs, 0)),
                    ad.log(ad.at(out.gen_probs, 4)))

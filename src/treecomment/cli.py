@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks, metrics
-from .autodiff import no_grad
 from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examples,
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
                      source_token_stream, tokenize_comment)
@@ -32,7 +31,7 @@ from .params import load_checkpoint, save_checkpoint
 from .parsers import ParseError, parse_lambda, parse_sql
 from .trees import TreeError, get_grammar, tree_stats
 from .training import (TrainConfig, build_model, config_from_text, config_to_text,
-                       greedy_candidates, train)
+                       encoded_examples, greedy_candidates, train)
 
 MANIFEST_VERSION = 1
 
@@ -242,11 +241,9 @@ def cmd_generate(args) -> int:
     store.load_snapshot(params)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
-        for i, ex in enumerate(examples):
+        for i, (ex, enc) in enumerate(encoded_examples(examples, encoder)):
             trace: list | None = [] if trace_fh else None
-            with no_grad():
-                tokens = decoder.decode_greedy(encoder.encode(ex.tree), ex.tree,
-                                               max_len=args.max_len, trace=trace)
+            tokens = decoder.decode_greedy(enc, ex.tree, max_len=args.max_len, trace=trace)
             print(" ".join(tokens))
             if trace_fh:
                 for entry in trace:

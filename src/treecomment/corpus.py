@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .parsers import parse_lambda, parse_sql
-from .trees import TokenTypeTree, get_grammar, tree_from_json, tree_to_json
+from .trees import Grammar, Node, TokenTypeTree, get_grammar, tree_from_json, tree_to_json
 
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
@@ -246,23 +246,15 @@ class LintProblem:
     message: str
 
 
-def copyable_surfaces(tree: TokenTypeTree) -> list[tuple[str, ...]]:
-    """Surfaces of the nodes the decoder is allowed to copy."""
-    if tree.grammar:
-        try:
-            available = get_grammar(tree.grammar).available_types
-        except KeyError:
-            available = None
-    else:
-        available = None
-    out = []
-    for n in tree.nodes:
-        if not n.tokens:
-            continue
-        if available is not None and n.type not in available:
-            continue
-        out.append(node_surface(n.tokens))
-    return out
+def copyable_nodes(tree: TokenTypeTree, grammar: Grammar | None, use_mask: bool = True,
+                   generate_only: bool = False) -> list[Node]:
+    """The nodes the decoder may copy: those with tokens (there is something
+    to emit) whose type ``grammar`` makes available, unless masking is off
+    or no grammar is known; in generate-only mode, none."""
+    if generate_only:
+        return []
+    available = grammar.available_types if use_mask and grammar is not None else None
+    return [n for n in tree.nodes if n.tokens and (available is None or n.type in available)]
 
 
 def unit_spans(comment: Sequence[str], surfaces: Iterable[tuple[str, ...]],
@@ -310,14 +302,23 @@ def finishing_units(comment: Sequence[str], spans: list[set[int]]) -> list[set[i
     return good
 
 
-def lint_examples(examples: Sequence[Example], target_vocab: Vocab) -> list[LintProblem]:
+def lint_examples(examples: Sequence[Example], target_vocab: Vocab, *, use_mask: bool = True,
+                  generate_only: bool = False) -> list[LintProblem]:
     """Check each comment is reachable from the decoder's action space:
-    segmentable into in-vocabulary tokens and full copyable node surfaces,
-    no multi-token span copied twice in a row (copy decay forbids it)."""
+    segmentable into in-vocabulary tokens and full surfaces of the nodes
+    ``copyable_nodes`` allows under the decoder's flags, no multi-token span
+    copied twice in a row (copy decay forbids it)."""
     problems: list[LintProblem] = []
     for idx, ex in enumerate(examples):
         comment = ex.comment
-        spans = unit_spans(comment, copyable_surfaces(ex.tree), target_vocab)
+        tree = ex.tree
+        try:
+            grammar = get_grammar(tree.grammar) if tree.grammar else None
+        except KeyError:
+            grammar = None
+        surfaces = [node_surface(n.tokens)
+                    for n in copyable_nodes(tree, grammar, use_mask, generate_only)]
+        spans = unit_spans(comment, surfaces, target_vocab)
         if finishing_units(comment, spans)[0]:
             continue
         # report the furthest position a walk from the start reaches, by

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import BOS, EOS, Vocab, node_surface
-from .encoder import EncoderOutput, hidden_matrix
+from .corpus import BOS, EOS, Vocab, copyable_nodes, node_surface
+from .encoder import EncoderOutput
 from .params import ParamStore
 from .trees import Grammar, TokenTypeTree
 
@@ -173,22 +173,13 @@ class TreeDecoder:
         return ad.softmax(ad.linear(attn_vector, self._gen_w()))
 
     def copy_keep_mask(self, tree: TokenTypeTree) -> np.ndarray:
-        """True where a node may be copied.
-
-        Grammar-unavailable types are excluded unless masking is ablated;
-        token-less nodes are never copyable (there is nothing to emit). The
-        mask realizes the additive minus-infinity filter: excluded nodes end
-        with probability exactly zero.
-        """
+        """True where a node may be copied (``corpus.copyable_nodes`` under
+        this decoder's grammar and flags). The mask realizes the additive
+        minus-infinity filter: excluded nodes end with probability exactly
+        zero."""
         keep = np.zeros(len(tree), dtype=bool)
-        if self.config.generate_only:
-            return keep
-        for n in tree.nodes:
-            if not n.tokens:
-                continue
-            if self.config.use_mask and n.type not in self.grammar.available_types:
-                continue
-            keep[n.id] = True
+        keep[[n.id for n in copyable_nodes(tree, self.grammar, self.config.use_mask,
+                                           self.config.generate_only)]] = True
         return keep
 
     def copy_distribution(self, attn_vector: Tensor, node_matrix: Tensor,
@@ -242,7 +233,7 @@ class TreeDecoder:
         start = self.initial_state(encoder_output, tree)
         states = self._lstm(start.hidden, start.cell, prev_token_ids)
         hidden = ad.rows(states, range(len(prev_token_ids)))
-        return self.heads(hidden, hidden_matrix(encoder_output), self.copy_keep_mask(tree),
+        return self.heads(hidden, encoder_output.hidden, self.copy_keep_mask(tree),
                           decay)
 
     # decoding loops -----------------------------------------------------------
@@ -266,7 +257,7 @@ class TreeDecoder:
         """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
         max_len = self._max_len(max_len)
         with ad.no_grad():
-            node_matrix = hidden_matrix(encoder_output)
+            node_matrix = encoder_output.hidden
             keep = self.copy_keep_mask(tree)
             state = self.initial_state(encoder_output, tree)
             prev: str | None = None
@@ -311,7 +302,7 @@ class TreeDecoder:
         steps: list[TrajectoryStep] = []
         tokens: list[str] = []
         scored: list[tuple[Tensor, Tensor]] = []
-        node_matrix = hidden_matrix(encoder_output)
+        node_matrix = encoder_output.hidden
         keep = self.copy_keep_mask(tree)
         state = self.initial_state(encoder_output, tree)
         prev: str | None = None
@@ -350,7 +341,7 @@ class TreeDecoder:
         """Recompute each recorded step teacher-forced on the sampled prefix,
         returning traced (log p(op), log p(word)) pairs for the policy
         gradient. Matches the sampled log-probabilities bitwise."""
-        node_matrix = hidden_matrix(encoder_output)
+        node_matrix = encoder_output.hidden
         keep = self.copy_keep_mask(tree)
         state = self.initial_state(encoder_output, tree)
         prev: str | None = None

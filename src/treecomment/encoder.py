@@ -10,14 +10,20 @@ Absent children are treated as zero-state padding: their recurrent terms and
 forget contributions vanish identically, so the corresponding products are
 simply skipped rather than materialized.
 
-Each node is one traced ``autodiff.tree_lstm_node`` op over the node's typed
-W/b tensors and its per-(slot, type) and per-(slot, k, type) U tensors, read
-back with two ``autodiff.row`` ops; parameters keep their per-gate names.
+``encode_batch`` encodes the trees of a batch together: one
+``autodiff.embedding_means`` op gives every node's input and one
+``autodiff.tree_lstm`` op every node's state, by a plan that keys each
+gate's weights by integer codes of (gate, type) and (gate, k, slot, child
+type). Codes name the tensor a lookup resolves to, so an untyped tree and a
+type-changed variant get the same plan and run identical ops; each distinct
+tensor is looked up once per batch, and parameters keep their per-gate
+names. Each tree's output is a view of its rows of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +43,21 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    hidden: tuple[Tensor, ...]  # per node, aligned with tree ids
-    cell: tuple[Tensor, ...]
-    root_hidden: Tensor
+    hidden: Tensor       # (nodes, d); row i is node i's hidden state
+    cell: Tensor         # (nodes, d), likewise
+    root_hidden: Tensor  # (d,)
+
+
+GATES = "iouf"  # input, output, update, forget
+
+
+def param_name(gate: str, kind: str, node_type: str, slot: int = 0, k: int = 0) -> str:
+    """Store name of an encoder weight: ``W`` and ``b`` are keyed by type,
+    ``U`` also by child slot and, for the untied forget weights, by the
+    child ``k`` whose cell the gate forgets."""
+    if kind != "U":
+        return f"enc.{gate}.{kind}[type={node_type}]"
+    return f"enc.{gate}.U[slot={slot}]{f'[k={k}]' if k else ''}[type={node_type}]"
 
 
 class TreeEncoder:
@@ -56,67 +74,18 @@ class TreeEncoder:
         self.grammar = grammar
         self.vocab = source_vocab
         self.config = config
-        self._cache: dict[tuple, Tensor] = {}
-
-    def _type_key(self, node_type: str) -> str:
-        return "any" if self.config.untyped else node_type
-
-    def _w(self, gate: str, node_type: str) -> Tensor:
-        key = ("W", gate, self._type_key(node_type))
-        t = self._cache.get(key)
-        if t is None:
-            d = self.config.hidden_size
-            t = self.store.get(f"enc.{gate}.W[type={key[2]}]", (d, d))
-            self._cache[key] = t
-        return t
-
-    def _b(self, gate: str, node_type: str) -> Tensor:
-        key = ("b", gate, self._type_key(node_type))
-        t = self._cache.get(key)
-        if t is None:
-            d = self.config.hidden_size
-            t = self.store.get(f"enc.{gate}.b[type={key[2]}]", (d,))
-            self._cache[key] = t
-        return t
-
-    def _u(self, gate: str, slot: int, child_type: str) -> Tensor:
-        key = ("U", gate, slot, self._type_key(child_type))
-        t = self._cache.get(key)
-        if t is None:
-            d = self.config.hidden_size
-            t = self.store.get(f"enc.{gate}.U[slot={slot}][type={key[3]}]", (d, d))
-            self._cache[key] = t
-        return t
-
-    def _u_forget(self, slot: int, child_type: str, k: int) -> Tensor:
-        k_key = 0 if self.config.tie_forget_slots else k
-        key = ("Uf", slot, k_key, self._type_key(child_type))
-        t = self._cache.get(key)
-        if t is None:
-            d = self.config.hidden_size
-            suffix = "" if self.config.tie_forget_slots else f"[k={k}]"
-            t = self.store.get(
-                f"enc.f.U[slot={slot}]{suffix}[type={key[3]}]", (d, d))
-            self._cache[key] = t
-        return t
 
     def embedding(self) -> Tensor:
-        t = self._cache.get(("embed",))
-        if t is None:
-            t = self.store.get("enc.embed", (len(self.vocab), self.config.hidden_size))
-            self._cache[("embed",)] = t
-        return t
+        return self.store.get("enc.embed", (len(self.vocab), self.config.hidden_size))
 
-    def embed_tokens(self, tokens) -> Tensor:
-        """Mean of the source embeddings of the node's tokens; empty -> zeros."""
-        ids = [self.vocab.id_of(t.lower()) for t in tokens]
-        return ad.embedding_mean(self.embedding(), ids)
+    def embed_nodes(self, token_lists) -> Tensor:
+        """Mean source embedding of each node's tokens, one row per entry of
+        ``token_lists``; a node without tokens gets a zero row."""
+        ids = [self.vocab.id_of(t.lower()) for tokens in token_lists for t in tokens]
+        return ad.embedding_means(self.embedding(), ids, [len(t) for t in token_lists])
 
-    def encode(self, tree: TokenTypeTree) -> EncoderOutput:
+    def _check(self, tree: TokenTypeTree) -> None:
         grammar = self.grammar
-        hidden: list[Tensor | None] = [None] * len(tree)
-        cell: list[Tensor | None] = [None] * len(tree)
-        # ids are topological (parents first), so reverse order is bottom-up
         for node in reversed(tree.nodes):
             if node.type not in grammar.types:
                 raise KeyError(f"node {node.id}: no parameters for type {node.type!r} "
@@ -124,21 +93,75 @@ class TreeEncoder:
             if len(node.children) > grammar.max_arity:
                 raise ValueError(f"node {node.id}: {len(node.children)} children exceeds "
                                  f"grammar arity {grammar.max_arity}")
-            phi = self.embed_tokens(node.tokens)
-            kids = [(slot, tree.node(c)) for slot, c in enumerate(node.children, start=1)]
-            gate_params = [(self._w(gate, node.type), self._b(gate, node.type),
-                            [self._u(gate, slot, child.type) for slot, child in kids])
-                           for gate in ("i", "o", "u")]
-            forget_params = [(self._w("f", child_k.type), self._b("f", child_k.type),
-                              [self._u_forget(slot, child.type, k) for slot, child in kids])
-                             for k, child_k in kids]
-            state = ad.tree_lstm_node(phi, [hidden[child.id] for _, child in kids],
-                                      [cell[child.id] for _, child in kids],
-                                      gate_params, forget_params)
-            hidden[node.id] = ad.row(state, 0)
-            cell[node.id] = ad.row(state, 1)
-        return EncoderOutput(hidden=tuple(hidden), cell=tuple(cell),
-                             root_hidden=hidden[tree.root])
+
+    def encode(self, tree: TokenTypeTree) -> EncoderOutput:
+        return self.encode_batch([tree])[0]
+
+    def encode_batch(self, trees: Sequence[TokenTypeTree]) -> list[EncoderOutput]:
+        """Encode every tree of ``trees`` with one traced ``tree_lstm`` op.
+
+        Tree t's nodes are rows ``offset_t + id`` of the forest; each output
+        reads its tree's rows back as views of the op's result."""
+        trees = list(trees)
+        for tree in trees:
+            self._check(tree)
+        if not trees:
+            return []
+        offsets = np.cumsum([0] + [len(tree) for tree in trees]).tolist()
+        plan, affine, recurrent = self._plan(trees, offsets)
+        phi = self.embed_nodes([node.tokens for tree in trees for node in tree.nodes])
+        states = ad.tree_lstm(phi, affine, recurrent, plan)
+        n = offsets[-1]
+        return [EncoderOutput(hidden=ad.rows(states, slice(base, base + len(tree))),
+                              cell=ad.rows(states, slice(n + base, n + base + len(tree))),
+                              root_hidden=ad.row(states, base + tree.root))
+                for tree, base in zip(trees, offsets)]
+
+    def _plan(self, trees, offsets):
+        """The forest's ``TreePlan`` and its (W, b) pairs and U weights.
+
+        The plan keys each gate by an integer code of (gate, type) and each
+        recurrent weight by one of (gate, k, slot, child type); every
+        distinct code is looked up in the store once."""
+        kid_lists = [[base + c for c in node.children]
+                     for tree, base in zip(trees, offsets) for node in tree.nodes]
+        n = len(kid_lists)
+        arity = np.fromiter(map(len, kid_lists), dtype=np.intp, count=n)
+        width = int(arity.max())
+        children = np.full((n, width), -1, dtype=np.intp)
+        children[np.arange(width) < arity[:, None]] = [c for kids in kid_lists for c in kids]
+        # a typed model keys W and b by the node's type (forget gates: the
+        # child's) and U by the child's; an untyped one by a single type
+        names = ["any"] if self.config.untyped else sorted(self.grammar.types)
+        index = {name: i for i, name in enumerate(names)}
+        types = np.zeros(n, dtype=np.intp) if self.config.untyped else np.array(
+            [index[node.type] for tree in trees for node in tree.nodes], dtype=np.intp)
+        count = len(names)
+        child_types = types[np.maximum(children, 0)]
+        gate = np.arange(3)
+        affine = np.concatenate([gate * count + types[:, None], 3 * count + child_types],
+                                axis=1)
+        # U code: ((gate * (width + 1) + k) * width + slot) * count + child type
+        k = np.zeros(width, dtype=np.intp) if self.config.tie_forget_slots \
+            else np.arange(1, width + 1)
+        gate_k = np.concatenate([gate * (width + 1), 3 * (width + 1) + k])
+        recurrent = (gate_k[:, None] * width + np.arange(width)) * count + child_types[:, None, :]
+        plan = ad.TreePlan(children, affine, recurrent)
+
+        d = self.config.hidden_size
+        get = self.store.get
+        pairs = []
+        for code in plan.affine_keys:
+            g, t = divmod(code, count)
+            pairs.append((get(param_name(GATES[g], "W", names[t]), (d, d)),
+                          get(param_name(GATES[g], "b", names[t]), (d,))))
+        us = []
+        for code in plan.recurrent_keys:
+            rest, t = divmod(code, count)
+            rest, slot = divmod(rest, width)
+            g, k = divmod(rest, width + 1)
+            us.append(get(param_name(GATES[g], "U", names[t], slot + 1, k), (d, d)))
+        return plan, pairs, us
 
 
 def trained_types(names) -> set[str]:
@@ -150,30 +173,20 @@ def trained_types(names) -> set[str]:
     return types
 
 
-def hidden_matrix(output: EncoderOutput) -> Tensor:
-    """All node hidden states stacked into a (nodes x hidden) matrix."""
-    return ad.stack_rows(output.hidden)
-
-
-def encoder_gradient_check(encoder: TreeEncoder, tree: TokenTypeTree,
+def encoder_gradient_check(encoder: TreeEncoder, trees: Sequence[TokenTypeTree],
                            epsilon: float = 1e-5, order: int = 2,
                            rng: np.random.Generator | None = None) -> float:
-    """Finite-difference check of the encoder backward pass.
+    """Finite-difference check of the encoder backward pass over one batch.
 
-    Probe loss is the sum of the root hidden state; the checked subset always
-    includes the embedding table and one W, U, b per gate (when the tree
-    exercises them).
+    Probe loss is the sum of the root hidden states of ``trees``, encoded
+    together; every encoder tensor the batch uses is checked, so a weight
+    two trees share sums its gradient across them.
     """
-    encoder.encode(tree)  # materialize every parameter this tree touches
-    subset: dict[str, Tensor] = {"enc.embed": encoder.embedding()}
-    for gate in ("i", "o", "u", "f"):
-        for kind in ("W", "U", "b"):
-            for name, tensor in encoder.store.items():
-                if name.startswith(f"enc.{gate}.{kind}"):
-                    subset[name] = tensor
-                    break
+    encoder.encode_batch(trees)  # materialize every parameter the batch touches
+    subset = {name: t for name, t in encoder.store.items() if name.startswith("enc.")}
 
     def loss():
-        return ad.sumall(encoder.encode(tree).root_hidden)
+        return ad.sumall(ad.concat([out.root_hidden for out in encoder.encode_batch(trees)]))
 
-    return finite_difference_check(loss, subset, epsilon=epsilon, order=order, rng=rng)
+    return finite_difference_check(loss, subset, epsilon=epsilon, order=order,
+                                   max_coords_per_param=4, rng=rng)

@@ -70,6 +70,31 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str],
     return MetricScore(value, {"p": precisions, "bp": bp})
 
 
+def bleu4_prefixes(candidate: Sequence[str], reference: Sequence[str],
+                   smoothing: str = "add-one") -> list[float]:
+    """``bleu4(candidate[:m], reference, smoothing).value`` for m = 1 ..
+    len(candidate), in one pass: each appended token adds its n-grams to
+    running counts, and a match while an n-gram's count stays within the
+    reference's."""
+    if smoothing not in ("none", "add-one"):
+        raise ValueError(f"unknown smoothing {smoothing!r}")
+    if candidate and len(reference) == 0:
+        raise ValueError("bleu4: empty reference")
+    ref = [ngrams(reference, n) for n in range(1, 5)]
+    seen: list[Counter] = [Counter() for _ in range(4)]
+    matches, totals = [0] * 4, [0] * 4
+    scores = []
+    for m in range(1, len(candidate) + 1):
+        for n in range(1, min(m, 4) + 1):
+            gram = tuple(candidate[m - n:m])
+            seen[n - 1][gram] += 1
+            totals[n - 1] += 1
+            if seen[n - 1][gram] <= ref[n - 1][gram]:
+                matches[n - 1] += 1
+        scores.append(_bleu_from_counts(matches, totals, m, len(reference), smoothing)[0])
+    return scores
+
+
 def rouge2(candidate: Sequence[str], reference: Sequence[str],
            variant: str = "f1") -> MetricScore:
     """Bigram-overlap score (clipped counts); F1 by default, or recall-only."""
@@ -102,21 +127,44 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rougeL(candidate: Sequence[str], reference: Sequence[str],
-           variant: str = "f1") -> MetricScore:
-    """Longest-common-subsequence F1 (or recall-only)."""
-    if len(candidate) == 0 or len(reference) == 0:
-        return MetricScore(0.0, {"recall": 0.0, "precision": 0.0, "lcs": 0})
-    lcs = lcs_length(candidate, reference)
-    recall = lcs / len(reference)
-    precision = lcs / len(candidate)
+def _lcs_score(lcs: int, cand_len: int, ref_len: int, variant: str) -> tuple[float, float, float]:
+    recall = lcs / ref_len
+    precision = lcs / cand_len
     if variant == "recall":
         value = recall
     elif precision + recall > 0:
         value = 2.0 * precision * recall / (precision + recall)
     else:
         value = 0.0
+    return value, recall, precision
+
+
+def rougeL(candidate: Sequence[str], reference: Sequence[str],
+           variant: str = "f1") -> MetricScore:
+    """Longest-common-subsequence F1 (or recall-only)."""
+    if len(candidate) == 0 or len(reference) == 0:
+        return MetricScore(0.0, {"recall": 0.0, "precision": 0.0, "lcs": 0})
+    lcs = lcs_length(candidate, reference)
+    value, recall, precision = _lcs_score(lcs, len(candidate), len(reference), variant)
     return MetricScore(value, {"recall": recall, "precision": precision, "lcs": lcs})
+
+
+def rougeL_prefixes(candidate: Sequence[str], reference: Sequence[str],
+                    variant: str = "f1") -> list[float]:
+    """``rougeL(candidate[:m], reference, variant).value`` for m = 1 ..
+    len(candidate), in one pass: the LCS table gains one row per appended
+    token, and its last entry is the prefix's LCS length."""
+    if len(reference) == 0:
+        return [0.0] * len(candidate)
+    scores = []
+    prev = [0] * (len(reference) + 1)
+    for m, x in enumerate(candidate, start=1):
+        cur = [0]
+        for j, y in enumerate(reference, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+        scores.append(_lcs_score(cur[-1], m, len(reference), variant)[0])
+    return scores
 
 
 def corpus_bleu4(pairs: Sequence[tuple[Sequence[str], Sequence[str]]],

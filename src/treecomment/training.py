@@ -20,7 +20,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ log = logging.getLogger(__name__)
 GUARD_LOGP = math.log(1e-300)
 
 REWARD_METRICS = ("bleu4", "rougeL")
+
+# trees per encoder op when evaluating: enough to amortize the op, few
+# enough that memory does not grow with the number of inputs
+EVAL_BATCH = 32
 
 
 @dataclass
@@ -135,25 +139,38 @@ def quantize_reward(x: float) -> float:
     return math.ldexp(round(math.ldexp(x, 32)), -32)
 
 
-def reward_function(name: str) -> Callable[[Sequence[str], Sequence[str]], float]:
+@dataclass(frozen=True)
+class Reward:
+    """A sentence-level reward. Calling it scores a candidate against a
+    reference; ``prefixes`` scores every non-empty prefix of a candidate in
+    one pass, each bitwise equal to the call on that prefix."""
+    score: Callable[[Sequence[str], Sequence[str]], float]
+    prefixes: Callable[[Sequence[str], Sequence[str]], list[float]]
+
+    def __call__(self, candidate: Sequence[str], reference: Sequence[str]) -> float:
+        return self.score(candidate, reference)
+
+
+def reward_function(name: str) -> Reward:
     if name == "bleu4":
-        return lambda cand, ref: metrics.bleu4(cand, ref, smoothing="add-one").value
+        return Reward(lambda cand, ref: metrics.bleu4(cand, ref, smoothing="add-one").value,
+                      lambda cand, ref: metrics.bleu4_prefixes(cand, ref, smoothing="add-one"))
     if name == "rougeL":
-        return lambda cand, ref: metrics.rougeL(cand, ref).value
+        return Reward(lambda cand, ref: metrics.rougeL(cand, ref).value, metrics.rougeL_prefixes)
     raise ValueError(f"unknown reward metric {name!r}")
 
 
 def shaped_rewards(tokens: Sequence[str], reference: Sequence[str],
-                   metric: Callable[[Sequence[str], Sequence[str]], float]) -> np.ndarray:
+                   metric: Reward) -> np.ndarray:
     """Per-token reward increments: r_m = R(prefix_m) - R(prefix_{m-1}).
 
     R(empty) is 0, so the increments sum exactly to the final score.
     """
     rewards = np.zeros(len(tokens))
     prev = 0.0
-    for m in range(1, len(tokens) + 1):
-        score = quantize_reward(metric(tokens[:m], reference))
-        rewards[m - 1] = score - prev
+    for m, score in enumerate(metric.prefixes(tokens, reference)):
+        score = quantize_reward(score)
+        rewards[m] = score - prev
         prev = score
     return rewards
 
@@ -285,7 +302,7 @@ class Baseline:
 
 
 def step_rewards(trajectory: Trajectory, reference: Sequence[str],
-                 metric: Callable) -> np.ndarray:
+                 metric: Reward) -> np.ndarray:
     """Group token-level shaped rewards by decoding step (a copy step earns
     the increment of its whole span; the EOS step earns 0)."""
     token_r = shaped_rewards(trajectory.tokens, reference, metric)
@@ -298,7 +315,7 @@ def step_rewards(trajectory: Trajectory, reference: Sequence[str],
 
 
 def hrl_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
-             rng: np.random.Generator, metric: Callable,
+             rng: np.random.Generator, metric: Reward,
              baseline_value: float = 0.0,
              encoded: EncoderOutput | None = None) -> tuple[Tensor, float]:
     """REINFORCE surrogate for one sampled trajectory.
@@ -339,16 +356,20 @@ def mle_weight(step: int, total_steps: int, mle_only: bool = False) -> float:
 
 def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
                step: int, cfg: TrainConfig, rng: np.random.Generator,
-               baseline: Baseline) -> tuple[Tensor, dict]:
+               baseline: Baseline,
+               encoded: EncoderOutput | None = None) -> tuple[Tensor, dict]:
+    """The step's mix of likelihood and REINFORCE surrogate for one example.
+    ``encoded`` is the example's encoding when the caller already has it;
+    one encoding serves both objectives."""
     mu = mle_weight(step, cfg.total_steps, cfg.mle_only)
     metric = reward_function(cfg.reward_metric)
     parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None}
+    if encoded is None:
+        encoded = encoder.encode(example.tree)
     if mu == 1.0:
-        loss = mle_loss(example, encoder, decoder)
+        loss = mle_loss(example, encoder, decoder, encoded=encoded)
         parts["loss_mle"] = float(loss.data)
         return loss, parts
-    # one encoding serves both objectives
-    encoded = encoder.encode(example.tree)
     surrogate, reward = hrl_loss(example, encoder, decoder, rng, metric, baseline.value,
                                  encoded=encoded)
     parts["loss_hrl"] = float(surrogate.data)
@@ -362,11 +383,21 @@ def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
 
 # --- evaluation helpers ---------------------------------------------------------
 
+def encoded_examples(examples: Sequence[Example],
+                     encoder: TreeEncoder) -> Iterator[tuple[Example, EncoderOutput]]:
+    """Each example with its encoding, made without recording, ``EVAL_BATCH``
+    trees per encoder op."""
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start:start + EVAL_BATCH]
+        with ad.no_grad():
+            encoded = encoder.encode_batch([ex.tree for ex in chunk])
+        yield from zip(chunk, encoded)
+
+
 def greedy_candidates(examples: Sequence[Example], encoder: TreeEncoder,
                       decoder: TreeDecoder) -> list[list[str]]:
-    with ad.no_grad():
-        return [decoder.decode_greedy(encoder.encode(ex.tree), ex.tree)
-                for ex in examples]
+    return [decoder.decode_greedy(enc, ex.tree)
+            for ex, enc in encoded_examples(examples, encoder)]
 
 
 def token_accuracy(examples: Sequence[Example], candidates: Sequence[Sequence[str]]) -> float:
@@ -437,7 +468,8 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
                                cfg.min_freq_source)
     target_vocab = build_vocab((ex.comment for ex in train_examples),
                                cfg.min_freq_target)
-    problems = lint_examples(train_examples, target_vocab)
+    problems = lint_examples(train_examples, target_vocab, use_mask=not cfg.no_mask,
+                             generate_only=cfg.generate_only)
     for p in problems[:5]:
         log.warning("corpus lint: example %d position %d: %s",
                     p.example_index, p.position, p.message)
@@ -469,8 +501,11 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
                 break
             total: Tensor | None = None
             mle_vals, hrl_vals, rewards = [], [], []
-            for ex in batch.examples:
-                loss, parts = mixed_loss(ex, encoder, decoder, step, cfg, rng, baseline)
+            # one encoder op for the whole batch
+            encoded = encoder.encode_batch([ex.tree for ex in batch.examples])
+            for ex, enc in zip(batch.examples, encoded):
+                loss, parts = mixed_loss(ex, encoder, decoder, step, cfg, rng, baseline,
+                                         encoded=enc)
                 total = loss if total is None else ad.add(total, loss)
                 if parts["loss_mle"] is not None:
                     mle_vals.append(parts["loss_mle"])

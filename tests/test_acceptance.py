@@ -22,7 +22,7 @@ from treecomment.corpus import (EOS, build_vocab, examples_from_pairs,
                                 generate_synthetic, save_corpus_jsonl)
 from treecomment.decoder import (OP_COPY, OP_GEN, DecoderConfig, Trajectory,
                                  TrajectoryStep, TreeDecoder)
-from treecomment.encoder import EncoderConfig, TreeEncoder, hidden_matrix
+from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import ParamStore
 from treecomment.parsers import parse_lambda, parse_sql
 from treecomment.trees import Node, TokenTypeTree, get_grammar, tree_to_json
@@ -89,7 +89,7 @@ def test_c02_distribution_invariants():
         tree = random_tree(rng, max_depth=2, tokenless_ok=False)
         with ad.no_grad():
             enc = encoder.encode(tree)
-            mat = hidden_matrix(enc)
+            mat = enc.hidden
             keep = decoder.copy_keep_mask(tree)
             state = decoder.initial_state(enc, tree)
             decay = rng.uniform(0.0, 1.0, size=len(tree))
@@ -199,7 +199,7 @@ def _enumerate_toy_trajectories(tgt_vocab):
 
 def _trajectory_probability(encoder, decoder, tree, traj):
     enc = encoder.encode(tree)
-    mat = hidden_matrix(enc)
+    mat = enc.hidden
     keep = decoder.copy_keep_mask(tree)
     state = decoder.initial_state(enc, tree)
     prev = None

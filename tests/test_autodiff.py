@@ -79,22 +79,14 @@ class TestPrimitivesForward:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_tree_lstm_node_equals_gate_composition(self, shared):
-        def composed(p):
-            kids = [ad.row(p["m"], j) for j in range(3)]
-
-            def act(w, b, first_u):
-                total = ad.add(ad.matmul(p[f"sq{w}"], p["x"]), p[f"vec{b}"])
-                for j, kid in enumerate(kids):
-                    total = ad.add(total, ad.matmul(p[f"sq{(first_u + j) % 8}"], kid))
-                return total
-
-            cell = ad.mul(ad.sigmoid(act(0, 0, 1)), ad.tanh(act(4, 2, 5)))
-            for k, ck in enumerate((p["x"], p["y"], p["pos"])):
-                forget = ad.sigmoid(act(6, 3, 7 if shared else 7 + 3 * k))
-                cell = ad.add(cell, ad.mul(forget, ck))
-            return ad.mul(ad.sigmoid(act(2, 1, 3)), ad.tanh(cell)), cell
-
-        assert_fused_equals_composition(lambda p: tree_node(p, 3, shared), composed)
+        # the root of a forest whose levels mix arities, against the per-gate
+        # composition of primitives; the op's products run over several rows
+        # at once, so its forward agrees to rounding
+        children = FORESTS["mixed"]
+        root = [0, len(children)]  # rows h_0 and c_0 of [H; C]
+        assert_fused_equals_composition(
+            lambda p: ad.rows(forest(p, children, shared), root),
+            lambda p: forest_composition(p, children, shared), forward_atol=1e-14)
 
     def test_fused_cells_reject_bad_arity(self):
         p = op_params()
@@ -102,9 +94,16 @@ class TestPrimitivesForward:
             ad.lstm(p["m"], p["y"], p["pos"], lstm_weights(p)[:11])
         with pytest.raises(ShapeError):  # inputs must be one row per step
             ad.lstm(p["x"], p["y"], p["pos"], lstm_weights(p))
-        gate = (p["sq0"], p["vec0"], [p["sq1"]])
-        with pytest.raises(ShapeError):  # one child but no forget triple
-            ad.tree_lstm_node(p["x"], [p["y"]], [p["pos"]], [gate] * 3, [])
+        keys = np.zeros((2, 4), dtype=int), np.zeros((2, 4, 1), dtype=int)
+        with pytest.raises(ShapeError):  # one child but no forget gate keys
+            ad.TreePlan([[1], [-1]], keys[0][:, :3], keys[1][:, :3])
+        with pytest.raises(ShapeError):  # a child listed before its parent
+            ad.TreePlan([[-1], [0]], *keys)
+        with pytest.raises(ShapeError):  # a gap before the last child
+            ad.TreePlan([[-1, 1], [-1, -1]], np.zeros((2, 5), int), np.zeros((2, 5, 2), int))
+        plan = ad.TreePlan([[1], [-1]], *keys)
+        with pytest.raises(ShapeError):  # one (W, b) pair per affine key
+            ad.tree_lstm(ad.rows(p["phi"], [0, 1]), [], [p["sq0"]], plan)
 
 
 class TestBackward:
@@ -217,6 +216,8 @@ def op_params():
     # for the row-batched ops: a (2, 4) weight and a positive (3, 4) matrix
     params["w"] = leaf(rng.normal(size=(2, 4)))
     params["pm"] = leaf(rng.uniform(0.5, 2.0, size=(3, 4)))
+    # node inputs of the Tree-LSTM forests, one row per node
+    params["phi"] = leaf(rng.normal(size=(7, 4)))
     return params
 
 
@@ -267,20 +268,81 @@ def lstm_weights(p):
             else p[f"vec{g}"] for g in range(4) for kind in "WUb"]
 
 
-def tree_node(p, arity, shared=False):
-    """A tree node over ``arity`` children whose states are rows of ``m``
-    and entries of x / y / pos. ``shared`` lays the weights out as an untyped
-    encoder with tied forget slots does: every forget gate reads one W, one b
-    and, per slot, one U."""
-    kids_h = [ad.row(p["m"], j) for j in range(arity)]
-    kids_c = [p["x"], p["y"], p["pos"]][:arity]
+# forests for the Tree-LSTM op: the children of each node, parents first;
+# each has seven nodes, so every row of phi is an input
+FORESTS = {
+    "leaves": [[]] * 7,
+    "arity3": [[1, 2, 3], [], [], [], [], [], []],
+    # heights 2, 1 and 0; level 1 mixes arities 2 and 1
+    "mixed": [[1, 4, 6], [2, 3], [], [], [5], [], []],
+    # three trees of 3, 1 and 3 nodes, the last a chain
+    "three_trees": [[1, 2], [], [], [], [5], [6], []],
+}
 
-    def triple(w, b, first_u):
-        return (p[f"sq{w}"], p[f"vec{b}"], [p[f"sq{(first_u + j) % 8}"] for j in range(arity)])
 
-    gates = [triple(0, 0, 1), triple(2, 1, 3), triple(4, 2, 5)]
-    forgets = [triple(6, 3, 7 if shared else 7 + 3 * k) for k in range(arity)]
-    return ad.tree_lstm_node(p["x"] if arity else p["y"], kids_h, kids_c, gates, forgets)
+def forest_maps(p, children, shared=False):
+    """(W, b, U list) per gate of each node. Node v has "type" v % 2, which
+    picks its input, output and update weights and, as a child, its slot's
+    recurrent weights and the forget weights of its parent. ``shared`` lays
+    the weights out as an untyped encoder with tied forget slots does: one
+    type, and every forget gate of a node reads one W, one b and, per slot,
+    one U. Weights also repeat across gates (indices wrap around)."""
+    def sq(i):
+        return p[f"sq{i % 8}"]
+
+    def typ(v):
+        return 0 if shared else v % 2
+
+    maps = []
+    for v, kids in enumerate(children):
+        gates = [(sq(2 * g + typ(v)), p[f"vec{g + typ(v)}"],
+                  [sq(2 * g + 1 + j + typ(c)) for j, c in enumerate(kids)]) for g in range(3)]
+        gates += [(sq(6 + typ(ck)), p[f"vec{3 - typ(ck)}"],
+                   [sq(7 + j + typ(c) + (0 if shared else 3 * k)) for j, c in enumerate(kids)])
+                  for k, ck in enumerate(kids)]
+        maps.append(gates)
+    return maps
+
+
+def forest(p, children, shared=False):
+    """The Tree-LSTM op over ``children``, node v's input being row v of
+    phi; the plan keys a weight by its place among the parameters."""
+    width = max(map(len, children))
+    padded = [list(kids) + [-1] * (width - len(kids)) for kids in children]
+    tensors = [p[name] for name in sorted(p)]
+    code = {id(t): i for i, t in enumerate(tensors)}
+    affine = np.zeros((len(children), 3 + width), dtype=int)
+    recurrent = np.zeros((len(children), 3 + width, width), dtype=int)
+    for v, gates in enumerate(forest_maps(p, children, shared)):
+        for b, (w, bias, us) in enumerate(gates):
+            affine[v, b] = code[id(w)] * len(tensors) + code[id(bias)]
+            recurrent[v, b, :len(us)] = [code[id(u)] for u in us]
+    plan = ad.TreePlan(padded, affine, recurrent)
+    pairs = [divmod(c, len(tensors)) for c in plan.affine_keys]
+    return ad.tree_lstm(ad.rows(p["phi"], range(len(children))),
+                        [(tensors[w], tensors[b]) for w, b in pairs],
+                        [tensors[c] for c in plan.recurrent_keys], plan)
+
+
+def forest_composition(p, children, shared=False):
+    """The same forest's root (h, c) as per-gate primitives, node by node."""
+    maps = forest_maps(p, children, shared)
+    h, c = {}, {}
+    for v in reversed(range(len(children))):
+        phi = ad.row(p["phi"], v)
+
+        def act(w, b, us):
+            total = ad.add(ad.matmul(w, phi), b)
+            for u, kid in zip(us, children[v]):
+                total = ad.add(total, ad.matmul(u, h[kid]))
+            return total
+
+        cell = ad.mul(ad.sigmoid(act(*maps[v][0])), ad.tanh(act(*maps[v][2])))
+        for k, kid in enumerate(children[v]):
+            cell = ad.add(cell, ad.mul(ad.sigmoid(act(*maps[v][3 + k])), c[kid]))
+        c[v] = cell
+        h[v] = ad.mul(ad.sigmoid(act(*maps[v][1])), ad.tanh(cell))
+    return h[0], c[0]
 
 
 def weighted(t):
@@ -313,8 +375,11 @@ OP_LOSSES = {
     "at": lambda p: weighted(ad.at(p["x"], 2)),
     "take_repeated": lambda p: weighted(ad.take(p["x"], [2, 0, 2, 2])),
     "embedding_mean": lambda p: weighted(ad.embedding_mean(p["table"], [4, 1, 4])),
+    "embedding_means": lambda p: weighted(
+        ad.embedding_means(p["table"], [4, 1, 4, 2, 4], [2, 0, 3])),
     "row": lambda p: weighted(ad.row(p["m"], 1)),
     "rows_repeated": lambda p: weighted(ad.rows(p["table"], [4, 1, 4])),
+    "rows_slice": lambda p: weighted(ad.rows(p["table"], slice(1, 4))),
     "linear_vector": lambda p: weighted(ad.linear(p["x"], p["w"])),
     "linear_matrix": lambda p: weighted(ad.linear(p["m"], p["w"])),
     "matmul_vector_left": lambda p: weighted(ad.matmul(p["x"], p["n"])),
@@ -334,9 +399,12 @@ FUSED_LOSSES = {
                                             lstm_weights(p))),
     "lstm_steps": lambda p: weighted(ad.lstm(ad.rows(p["m"], [2, 0, 2, 1]), p["y"],
                                              p["pos"], lstm_weights(p))),
-    "tree_lstm_node_leaf": lambda p: weighted(tree_node(p, 0)),
-    "tree_lstm_node_arity3": lambda p: weighted(tree_node(p, 3)),
-    "tree_lstm_node_shared": lambda p: weighted(tree_node(p, 3, shared=True)),
+    "tree_lstm_node_leaf": lambda p: weighted(forest(p, FORESTS["leaves"])),
+    "tree_lstm_node_arity3": lambda p: weighted(forest(p, FORESTS["arity3"])),
+    "tree_lstm_node_shared": lambda p: weighted(forest(p, FORESTS["arity3"], shared=True)),
+    "tree_lstm_mixed": lambda p: weighted(forest(p, FORESTS["mixed"])),
+    "tree_lstm_mixed_shared": lambda p: weighted(forest(p, FORESTS["mixed"], shared=True)),
+    "tree_lstm_three_trees": lambda p: weighted(forest(p, FORESTS["three_trees"])),
 }
 
 

@@ -1,11 +1,12 @@
 import pytest
 
 from treecomment.corpus import (BOS, EOS, PAD, RESERVED, UNK, Example, batch_iter,
-                                build_vocab, copyable_surfaces, examples_from_pairs,
+                                build_vocab, copyable_nodes, examples_from_pairs,
                                 generate_synthetic, lint_examples, load_corpus_jsonl,
                                 save_corpus_jsonl, save_trees_jsonl,
-                                source_token_stream, tokenize_comment)
+                                node_surface, source_token_stream, tokenize_comment)
 from treecomment.parsers import parse_sql
+from treecomment.trees import get_grammar
 
 
 class TestTokenizer:
@@ -180,10 +181,15 @@ class TestLinter:
 
     def test_masked_types_not_copyable(self):
         tree = parse_sql("SELECT col FROM t WHERE a = 'v'")
-        surfaces = copyable_surfaces(tree)
+
+        def surfaces(**flags):
+            return {node_surface(n.tokens)
+                    for n in copyable_nodes(tree, get_grammar("wikisql"), **flags)}
+
         # cmp_op "=" and the stmt SELECT token are grammar-masked
-        assert ("=",) not in surfaces
-        assert ("select",) not in surfaces
+        assert surfaces() == {("col",), ("a",), ("v",)}
+        assert surfaces(use_mask=False) == surfaces() | {("=",), ("select",)}
+        assert surfaces(generate_only=True) == set()
 
 
 class TestCorpusFiles:

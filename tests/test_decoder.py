@@ -6,14 +6,13 @@ from treecomment import autodiff as ad
 from treecomment.autodiff import Tensor
 from treecomment.corpus import BOS, EOS
 from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, decay_update
-from treecomment.encoder import hidden_matrix
 from treecomment.parsers import parse_sql
 from treecomment.trees import Node, TokenTypeTree
 
 
 def encoded(encoder, tree):
     out = encoder.encode(tree)
-    return out, hidden_matrix(out)
+    return out, out.hidden
 
 
 def run_step(encoder, decoder, tree, decay=None, prev=1):
@@ -417,7 +416,7 @@ class TestTeacherForced:
 
             store.zero_grads()
             enc = encoder.encode(tree)
-            mat = hidden_matrix(enc)
+            mat = enc.hidden
             keep = decoder.copy_keep_mask(tree)
             state = decoder.initial_state(enc, tree)
             terms = []

@@ -3,7 +3,7 @@ import pytest
 from conftest import make_model, random_tree, reference_tree_lstm
 
 from treecomment import autodiff as ad
-from treecomment.encoder import encoder_gradient_check, hidden_matrix
+from treecomment.encoder import encoder_gradient_check
 from treecomment.trees import Node, TokenTypeTree
 
 
@@ -15,31 +15,85 @@ def leaf_tree(node_type="string", tokens=("alpha", "beta")):
     return TokenTypeTree(nodes=(Node(0, node_type, tokens, ()),), grammar="wikisql")
 
 
+def subtree(tree, root):
+    """The subtree under node ``root``, renumbered in preorder."""
+    order = []
+
+    def visit(v):
+        order.append(v)
+        for c in tree.node(v).children:
+            visit(c)
+
+    visit(root)
+    new = {old: i for i, old in enumerate(order)}
+    return TokenTypeTree(nodes=tuple(
+        Node(new[v], tree.node(v).type, tree.node(v).tokens,
+             tuple(new[c] for c in tree.node(v).children)) for v in order),
+        grammar=tree.grammar)
+
+
+def typed_reference(tree, store, vocab, hidden_size, tied=False):
+    """Every node's (h, c) by a per-node numpy composition that reads the
+    typed parameters by name, node after node; independent of the batch
+    plan and of the autodiff ops."""
+    def p(name):
+        return store[name].data
+
+    h: dict = {}
+    c: dict = {}
+    for node in reversed(tree.nodes):
+        ids = [vocab.id_of(t.lower()) for t in node.tokens]
+        phi = p("enc.embed")[ids].mean(axis=0) if ids else np.zeros(hidden_size)
+        kids = [(slot, tree.node(cid)) for slot, cid in enumerate(node.children, start=1)]
+
+        def act(gate, w_type, u_name):
+            total = p(f"enc.{gate}.W[type={w_type}]") @ phi + p(f"enc.{gate}.b[type={w_type}]")
+            for slot, kid in kids:
+                total = total + p(u_name(slot, kid.type)) @ h[kid.id]
+            return total
+
+        def gate_u(gate):
+            return lambda slot, t: f"enc.{gate}.U[slot={slot}][type={t}]"
+
+        i = sigmoid(act("i", node.type, gate_u("i")))
+        o = sigmoid(act("o", node.type, gate_u("o")))
+        u = np.tanh(act("u", node.type, gate_u("u")))
+        cell = i * u
+        for k, kid_k in kids:
+            k_part = "" if tied else f"[k={k}]"
+            forget = sigmoid(act("f", kid_k.type,
+                                 lambda slot, t: f"enc.f.U[slot={slot}]{k_part}[type={t}]"))
+            cell = cell + forget * c[kid_k.id]
+        h[node.id] = o * np.tanh(cell)
+        c[node.id] = cell
+    return np.array([h[v] for v in range(len(tree))]), np.array([c[v] for v in range(len(tree))])
+
+
 class TestEmbedNode:
     def test_single_token_is_its_row(self):
         _, encoder, _ = make_model()
         table = encoder.embedding()
-        out = encoder.embed_tokens(("alpha",))
-        assert np.array_equal(out.data, table.data[encoder.vocab.id_of("alpha")])
+        out = encoder.embed_nodes([("alpha",)])
+        assert np.array_equal(out.data[0], table.data[encoder.vocab.id_of("alpha")])
 
     def test_empty_token_list_is_zero(self):
         _, encoder, _ = make_model()
-        assert np.array_equal(encoder.embed_tokens(()).data,
+        assert np.array_equal(encoder.embed_nodes([()]).data[0],
                               np.zeros(encoder.config.hidden_size))
 
     def test_two_tokens_average(self):
         _, encoder, _ = make_model()
         table = encoder.embedding().data
         v = encoder.vocab
-        out = encoder.embed_tokens(("alpha", "beta"))
+        out = encoder.embed_nodes([("alpha", "beta")])
         want = (table[v.id_of("alpha")] + table[v.id_of("beta")]) / 2.0
-        assert np.allclose(out.data, want, atol=1e-15)
+        assert np.allclose(out.data[0], want, atol=1e-15)
 
     def test_unknown_token_falls_back_to_unk(self):
         _, encoder, _ = make_model()
         table = encoder.embedding().data
-        out = encoder.embed_tokens(("neverseen",))
-        assert np.array_equal(out.data, table[3])
+        out = encoder.embed_nodes([("neverseen",)])
+        assert np.array_equal(out.data[0], table[3])
 
 
 class TestEncodeTree:
@@ -50,15 +104,14 @@ class TestEncodeTree:
         for _, p in store.items():
             p.data[...] = 0.0
         out = encoder.encode(tree)
-        for h, c in zip(out.hidden, out.cell):
-            assert np.array_equal(h.data, np.zeros_like(h.data))
-            assert np.array_equal(c.data, np.zeros_like(c.data))
+        assert np.array_equal(out.hidden.data, np.zeros_like(out.hidden.data))
+        assert np.array_equal(out.cell.data, np.zeros_like(out.cell.data))
 
     def test_leaf_matches_single_cell_oracle(self):
         store, encoder, _ = make_model(seed=4)
         tree = leaf_tree()
         out = encoder.encode(tree)
-        phi = encoder.embed_tokens(("alpha", "beta")).data
+        phi = encoder.embed_nodes([("alpha", "beta")]).data[0]
 
         def gate(g):
             return store[f"enc.{g}.W[type=string]"].data @ phi + \
@@ -66,16 +119,15 @@ class TestEncodeTree:
 
         i, o, u = sigmoid(gate("i")), sigmoid(gate("o")), np.tanh(gate("u"))
         cell = i * u
-        assert np.allclose(out.cell[0].data, cell, atol=1e-12)
-        assert np.allclose(out.hidden[0].data, o * np.tanh(cell), atol=1e-12)
+        assert np.allclose(out.cell.data[0], cell, atol=1e-12)
+        assert np.allclose(out.hidden.data[0], o * np.tanh(cell), atol=1e-12)
 
     def test_hidden_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(31)
         _, encoder, _ = make_model(seed=8)
         for _ in range(10):
             out = encoder.encode(random_tree(rng))
-            for h in out.hidden:
-                assert np.all(np.abs(h.data) < 1.0)
+            assert np.all(np.abs(out.hidden.data) < 1.0)
 
     def test_type_change_changes_root_hidden(self):
         rng = np.random.default_rng(5)
@@ -176,14 +228,14 @@ class TestUntypedAblation:
 class TestGradients:
     def test_one_node_tree(self):
         _, encoder, _ = make_model(seed=11)
-        err = encoder_gradient_check(encoder, leaf_tree(), epsilon=1e-3, order=4)
+        err = encoder_gradient_check(encoder, [leaf_tree()], epsilon=1e-3, order=4)
         assert err < 1e-4
 
     def test_golden_sql_tree(self):
         from treecomment.parsers import parse_sql
         _, encoder, _ = make_model(seed=12)
         tree = parse_sql("SELECT MAX(Capacity) FROM table WHERE Stadium = 'Otkrytie Arena'")
-        err = encoder_gradient_check(encoder, tree, epsilon=1e-3, order=4)
+        err = encoder_gradient_check(encoder, [tree], epsilon=1e-3, order=4)
         assert err < 1e-4
 
     def test_zero_params_output_bias_grad_is_zero(self):
@@ -202,6 +254,80 @@ class TestGradients:
         _, encoder, _ = make_model(seed=14)
         tree = random_tree(np.random.default_rng(3))
         out = encoder.encode(tree)
-        mat = hidden_matrix(out)
-        for i, h in enumerate(out.hidden):
-            assert np.array_equal(mat.data[i], h.data)
+        assert out.hidden.shape == (len(tree), encoder.config.hidden_size)
+        for node in tree.nodes:
+            alone = encoder.encode(subtree(tree, node.id)).root_hidden.data
+            assert np.allclose(out.hidden.data[node.id], alone, rtol=0.0, atol=1e-12)
+        assert np.array_equal(out.root_hidden.data, out.hidden.data[tree.root])
+
+
+class TestBatch:
+    """``encode_batch`` runs one op over the trees of a batch; each tree's
+    rows must equal what it gets alone, and the typed per-node reference."""
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_typed_states_equal_per_node_reference(self, tied):
+        rng = np.random.default_rng(41)
+        store, encoder, _ = make_model(seed=15)
+        encoder.config.tie_forget_slots = tied
+        trees = [random_tree(rng, max_depth=4) for _ in range(6)]
+        for tree, out in zip(trees, encoder.encode_batch(trees)):
+            h, c = typed_reference(tree, store, encoder.vocab, encoder.config.hidden_size,
+                                   tied=tied)
+            assert np.allclose(out.hidden.data, h, rtol=0.0, atol=1e-12)
+            assert np.allclose(out.cell.data, c, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("untyped", [False, True])
+    def test_tree_in_a_batch_equals_tree_alone(self, untyped):
+        rng = np.random.default_rng(43)
+        store, encoder, _ = make_model(seed=16, untyped=untyped)
+        trees = [random_tree(rng, max_depth=4) for _ in range(5)]
+
+        def probe(out):
+            # every node's state counts, with its own weight
+            weights = np.linspace(0.5, 1.5, out.hidden.size).reshape(out.hidden.shape)
+            return ad.add(ad.sumall(ad.mul(ad.tanh(out.hidden), ad.constant(weights))),
+                          ad.sumall(ad.tanh(out.cell)))
+
+        for k, tree in enumerate(trees):
+            store.zero_grads()
+            batched = encoder.encode_batch(trees)[k]
+            probe(batched).backward()
+            grads = {name: t.grad.copy() for name, t in store.items()}
+            store.zero_grads()
+            alone = encoder.encode(tree)
+            probe(alone).backward()
+            for got, want in ((batched.hidden, alone.hidden), (batched.cell, alone.cell)):
+                assert np.allclose(got.data, want.data, rtol=0.0, atol=1e-12)
+            for name, t in store.items():
+                assert np.allclose(grads[name], t.grad, rtol=0.0, atol=1e-12), name
+
+    def test_errors_before_any_parameter(self):
+        store, encoder, _ = make_model()
+        good = random_tree(np.random.default_rng(4))
+        wide = TokenTypeTree(nodes=(Node(0, "stmt", (), tuple(range(1, 6))),
+                                    *(Node(i, "string", ("alpha",), ()) for i in range(1, 6))),
+                             grammar="wikisql")
+        with pytest.raises(ValueError, match="arity"):
+            encoder.encode_batch([good, wide])
+        assert len(store) == 0
+
+    def test_empty_batch(self):
+        _, encoder, _ = make_model()
+        assert encoder.encode_batch([]) == []
+
+
+class TestEncoderTape:
+    def test_batch_records_two_ops_plus_three_views_per_tree(self, monkeypatch):
+        # the token means and the forest op, then per tree its hidden and
+        # cell rows and its root row, whatever the tree count or size
+        rng = np.random.default_rng(47)
+        _, encoder, _ = make_model(seed=17)
+        calls = []
+        result = ad._result
+        monkeypatch.setattr(ad, "_result", lambda *a, **k: calls.append(1) or result(*a, **k))
+        for count, depth in ((1, 1), (3, 4), (10, 3)):
+            trees = [random_tree(rng, max_depth=depth) for _ in range(count)]
+            calls.clear()
+            encoder.encode_batch(trees)
+            assert len(calls) == 2 + 3 * count

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecomment.metrics import bleu4, corpus_bleu4, corpus_eval, lcs_length, rouge2, rougeL
+from treecomment.metrics import (bleu4, bleu4_prefixes, corpus_bleu4, corpus_eval, lcs_length,
+                                 rouge2, rougeL, rougeL_prefixes)
 
 # --- independent oracles (naive counting, no shared code with the library) ---
 
@@ -214,3 +215,16 @@ def test_scores_live_in_unit_interval(cand, ref):
     for value in (bleu4(cand, ref).value, rouge2(cand, ref).value,
                   rougeL(cand, ref).value):
         assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("abcd"), max_size=14),
+       st.lists(st.sampled_from("abcd"), min_size=1, max_size=10),
+       st.sampled_from(["none", "add-one"]), st.sampled_from(["f1", "recall"]))
+def test_prefix_scores_equal_per_prefix_calls_bitwise(cand, ref, smoothing, variant):
+    # a small alphabet, so n-grams repeat and clipping matters
+    assert bleu4_prefixes(cand, ref, smoothing) == \
+        [bleu4(cand[:m], ref, smoothing).value for m in range(1, len(cand) + 1)]
+    assert rougeL_prefixes(cand, ref, variant) == \
+        [rougeL(cand[:m], ref, variant).value for m in range(1, len(cand) + 1)]
+    assert rougeL_prefixes(cand, [], variant) == [0.0] * len(cand)

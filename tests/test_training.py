@@ -11,16 +11,18 @@ from hypothesis import strategies as st
 from treecomment import autodiff as ad
 from treecomment import metrics
 from treecomment.corpus import (EOS, Example, build_vocab, examples_from_pairs,
-                                generate_synthetic, lint_examples, node_surface)
+                                generate_synthetic, lint_examples, node_surface,
+                                source_token_stream)
 from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, TreeDecoder
-from treecomment.encoder import EncoderConfig, TreeEncoder, hidden_matrix
+from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import AdamState, ParamStore, adam_step
 from treecomment.parsers import parse_sql
 from treecomment.trees import Node, TokenTypeTree, get_grammar
-from treecomment.training import (Baseline, GUARD_LOGP, TrainConfig, config_from_text,
-                                  config_to_text, greedy_candidates, hrl_loss, mle_loss,
-                                  mle_weight, mixed_loss, quantize_reward, reward_function,
-                                  segment_target, shaped_rewards, step_rewards, train)
+from treecomment.training import (Baseline, GUARD_LOGP, TrainConfig, build_model,
+                                  config_from_text, config_to_text, greedy_candidates,
+                                  hrl_loss, mle_loss, mle_weight, mixed_loss, quantize_reward,
+                                  reward_function, segment_target, shaped_rewards,
+                                  step_rewards, train)
 
 BLEU = reward_function("bleu4")
 
@@ -66,14 +68,15 @@ class GuardLog(logging.Handler):
             self.units.append(record.args[0])
 
 
-def guarded_units(example, target_words, seed=70):
-    """Units ``mle_loss`` guards for ``example`` under a default-flag model
-    whose target vocabulary is ``target_words``; also returns the loss."""
+def guarded_units(example, target_words, seed=70, **flags):
+    """Units ``mle_loss`` guards for ``example`` under a model whose target
+    vocabulary is ``target_words`` and whose decoder takes the ``flags``
+    (default: none); also returns the loss."""
     grammar = get_grammar(example.tree.grammar)
     store = ParamStore(seed=seed)
     encoder = TreeEncoder(store, grammar, word_vocab(), EncoderConfig(hidden_size=6))
     decoder = TreeDecoder(store, grammar, build_vocab([list(target_words)], min_freq=1),
-                          DecoderConfig(hidden_size=6))
+                          DecoderConfig(hidden_size=6, **flags))
     guards = GuardLog()
     logger = logging.getLogger("treecomment.training")
     logger.addHandler(guards)
@@ -122,13 +125,42 @@ class TestLintAgreesWithLoss:
         assert [u.tokens for u in units] == [("col",), ("is",), ("otkrytie", "arena"),
                                              ("col",), ()]
 
-    @settings(max_examples=200, deadline=None)
+    def test_generate_only_lint_reports_every_guarded_example(self):
+        # a generate-only model copies nothing, so an out-of-vocabulary
+        # literal is unreachable; the lint must say so for that model
+        examples = examples_from_pairs(
+            generate_synthetic(400, seed=1, grammar="wikisql", oov_fraction=0.5), "sql")
+        cfg = TrainConfig(generate_only=True, hidden_size=16)
+        target_vocab = build_vocab((ex.comment for ex in examples), cfg.min_freq_target)
+        source_vocab = build_vocab((source_token_stream(ex.tree) for ex in examples),
+                                   cfg.min_freq_source)
+        _, encoder, decoder = build_model(cfg, "wikisql", source_vocab, target_vocab)
+        guarded = set()
+        logger = logging.getLogger("treecomment.training")
+        for i, ex in enumerate(examples):
+            guards = GuardLog()
+            logger.addHandler(guards)
+            try:
+                with ad.no_grad():
+                    mle_loss(ex, encoder, decoder)
+            finally:
+                logger.removeHandler(guards)
+            if guards.units:
+                guarded.add(i)
+        assert lint_examples(examples, target_vocab) == []  # the copying model's view
+        problems = lint_examples(examples, target_vocab, generate_only=True)
+        assert len(guarded) > 100
+        assert {p.example_index for p in problems} == guarded
+
+    @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            picks=st.lists(st.integers(0, 13), min_size=1, max_size=6),
-           target_words=st.sets(st.sampled_from(WORDS)))
-    def test_lint_passed_comment_takes_no_guard(self, seed, picks, target_words):
+           target_words=st.sets(st.sampled_from(WORDS)),
+           flags=st.sampled_from([{}, {"use_mask": False}, {"generate_only": True}]))
+    def test_lint_passed_comment_takes_no_guard(self, seed, picks, target_words, flags):
         # comments are spliced from node surfaces (masked ones too) and
-        # single words, one of them never in the vocabulary
+        # single words, one of them never in the vocabulary; the model takes
+        # the default flags, no grammar mask, or no copying at all
         tree = random_tree(np.random.default_rng(seed))
         surfaces = [node_surface(n.tokens) for n in tree.nodes if n.tokens]
         words = (*WORDS, "omega")
@@ -139,8 +171,9 @@ class TestLintAgreesWithLoss:
             else:
                 comment.append(words[k % len(words)])
         ex = Example(tree=tree, comment=tuple(comment))
-        assume(not lint_examples([ex], build_vocab([list(target_words)], min_freq=1)))
-        guards, loss, _ = guarded_units(ex, target_words)
+        assume(not lint_examples([ex], build_vocab([list(target_words)], min_freq=1),
+                                 **flags))
+        guards, loss, _ = guarded_units(ex, target_words, **flags)
         assert guards == []
         assert np.isfinite(loss)
 
@@ -153,7 +186,7 @@ class TestMleLoss:
         loss = mle_loss(ex, encoder, decoder)
         # hand composition: -(log p1 + log p_eos)
         enc = encoder.encode(tree)
-        mat = hidden_matrix(enc)
+        mat = enc.hidden
         keep = decoder.copy_keep_mask(tree)
         state = decoder.initial_state(enc, tree)
         state, out = decoder.step(state, mat, keep, 1)
@@ -197,7 +230,7 @@ class TestMleLoss:
         loss = mle_loss(ex, encoder, decoder)
 
         enc = encoder.encode(tree)
-        mat = hidden_matrix(enc)
+        mat = enc.hidden
         keep = decoder.copy_keep_mask(tree)
         state = decoder.initial_state(enc, tree)
         expected = 0.0
