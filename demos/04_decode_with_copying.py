@@ -5,7 +5,6 @@
 
 import numpy as np
 
-from treecomment.autodiff import no_grad
 from treecomment.corpus import build_vocab
 from treecomment.decoder import DecoderConfig, TreeDecoder
 from treecomment.encoder import EncoderConfig, TreeEncoder
@@ -56,8 +55,11 @@ print("\nuntrained greedy output:", tokens)
 for entry in trace:
     print(f"  step {entry['step']}: action={entry['action']} emitted={entry['emitted']}")
 
-# sampled decoding records per-step log-probabilities for policy gradients
-with no_grad():
-    traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
+# sampled decoding records nothing on the tape but keeps each draw's
+# log-probability; for a policy gradient, score_trajectory recomputes them
+# as traced vectors in one teacher-forced pass
+traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
 print("\nsampled tokens:", traj.tokens)
 print("trajectory log-probability:", round(traj.logprob(), 4))
+logp_op, logp_word = decoder.score_trajectory(enc, tree, traj)
+print("rescored in one pass:", round(float(logp_op.data.sum() + logp_word.data.sum()), 4))

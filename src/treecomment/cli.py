@@ -74,15 +74,21 @@ def write_manifest(run_dir: Path, command: str, config_text: str, seed: int,
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "finished_at": None,
+        "status": None,
+        "exit_code": None,
     }
     path = run_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n")
     return path
 
 
-def finish_manifest(path: Path) -> None:
+def finish_manifest(path: Path, exit_code: int) -> None:
+    """Stamp the end time and the outcome: status ``ok`` for exit code 0,
+    ``aborted`` for any other."""
     manifest = json.loads(path.read_text())
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    manifest["status"] = "ok" if exit_code == EXIT_OK else "aborted"
+    manifest["exit_code"] = exit_code
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -189,7 +195,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.store, run_dir / "checkpoint.final.bin")
     result.store.load_snapshot(result.best_params)
     save_checkpoint(result.store, run_dir / "checkpoint.bin")
-    finish_manifest(manifest_path)
+    finish_manifest(manifest_path, EXIT_NUMERIC if result.aborted else EXIT_OK)
     if result.aborted:
         print("training aborted on non-finite loss; last good parameters kept",
               file=sys.stderr)

@@ -12,15 +12,20 @@ the last emitted token feeds the next recurrence step. When no node is
 copyable at all, the operation is forced to "generate" with probability one.
 
 Attention and the three heads are written once for a hidden state of shape
-(d,) or a (T, d) matrix of them (``heads``). ``step`` feeds them one hidden
-state and serves the sampling, greedy and replay loops. Under teacher forcing
-every input of every step is known up front, so ``teacher_forced`` runs the
-LSTM over all T positions as one op and the heads once over the T rows.
+(d,) or a (T, d) matrix of them (``heads``). Decoding chooses each step's
+input from the last step's output, so it runs ``step`` in one loop,
+``_rollout``, which records nothing and serves greedy and sampled decoding
+through an argmax or a Gumbel-Max chooser. Wherever every input of every
+step is known up front, ``teacher_forced`` runs the LSTM over all T
+positions as one op and the heads once over the T rows. It scores a target
+for the likelihood, and ``score_trajectory`` reads the traced
+log-probabilities of a sampled trajectory off it for the policy gradient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +61,6 @@ class DecoderState:
     hidden: Tensor
     cell: Tensor
     decay: np.ndarray            # one value per tree node, each in [0, 1]
-    emitted: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -84,8 +88,6 @@ class TrajectoryStep:
 class Trajectory:
     steps: list[TrajectoryStep]
     tokens: list[str]
-    # (log p(op), log p(word)) per step, traced unless sampled under no_grad()
-    scored: list[tuple[Tensor, Tensor]] = field(default_factory=list)
 
     def logprob(self) -> float:
         return sum(s.logp_op + s.logp_word for s in self.steps)
@@ -110,6 +112,7 @@ class TreeDecoder:
         self.vocab = target_vocab
         self.config = config
         self._cache: dict[str, Tensor] = {}
+        self._lstm_weights: tuple[Tensor, ...] | None = None
 
     # parameter accessors -----------------------------------------------------
 
@@ -122,11 +125,6 @@ class TreeDecoder:
 
     def embedding(self) -> Tensor:
         return self._param("dec.embed", (len(self.vocab), self.config.hidden_size))
-
-    def _lstm_w(self, kind: str, gate: str) -> Tensor:
-        d = self.config.hidden_size
-        shape = (d,) if kind == "b" else (d, d)
-        return self._param(f"dec.lstm.{kind}[{gate}]", shape)
 
     def _attn_w(self) -> Tensor:
         d = self.config.hidden_size
@@ -150,8 +148,12 @@ class TreeDecoder:
         """The LSTM over the embeddings of ``prev_token_ids`` from (hidden,
         cell): rows ``[h_1 .. h_T; c_T]``."""
         x = ad.rows(self.embedding(), prev_token_ids)
-        weights = [self._lstm_w(kind, gate) for gate in "ifou" for kind in "WUb"]
-        return ad.lstm(x, hidden, cell, weights)
+        if self._lstm_weights is None:  # resolved once: every step reads all twelve
+            d = self.config.hidden_size
+            self._lstm_weights = tuple(
+                self._param(f"dec.lstm.{kind}[{gate}]", (d,) if kind == "b" else (d, d))
+                for gate in "ifou" for kind in "WUb")
+        return ad.lstm(x, hidden, cell, self._lstm_weights)
 
     def recurrence(self, hidden: Tensor, cell: Tensor, prev_token_id: int) -> tuple[Tensor, Tensor]:
         """One LSTM cell over the embedding of the previously emitted token."""
@@ -219,7 +221,7 @@ class TreeDecoder:
              keep: np.ndarray, prev_token_id: int) -> tuple[DecoderState, StepOutput]:
         hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
         new_state = DecoderState(step=state.step + 1, hidden=hidden, cell=cell,
-                                 decay=state.decay, emitted=state.emitted)
+                                 decay=state.decay)
         return new_state, self.heads(hidden, node_matrix, keep, state.decay)
 
     def teacher_forced(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
@@ -236,7 +238,46 @@ class TreeDecoder:
         return self.heads(hidden, encoder_output.hidden, self.copy_keep_mask(tree),
                           decay)
 
-    # decoding loops -----------------------------------------------------------
+    def decay_rows(self, resets: Sequence[Sequence[int]], num_nodes: int) -> np.ndarray:
+        """The (len(resets) + 1, nodes) decay matrix the steps of a known
+        sequence see: row 0 is zero, and row t + 1 is row t after step t
+        copied the nodes ``resets[t]``, by the rule of ``decay_update``.
+        All zero when this decoder applies no decay."""
+        decay = np.zeros((len(resets) + 1, num_nodes))
+        if self.config.use_decay and not self.config.generate_only:
+            for t, nodes in enumerate(resets):
+                decay[t + 1] = decay[t] * self.config.decay_factor
+                decay[t + 1, list(nodes)] = 1.0
+        return decay
+
+    def score_trajectory(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
+                         trajectory: Trajectory) -> tuple[Tensor, Tensor]:
+        """Traced (log p(op), log p(word)) of every step of a decoded
+        trajectory, as two (T,) vectors from one ``teacher_forced`` pass.
+
+        The pass is fed BOS, then the last token of each step but the final
+        one, and sees the decay decoding saw: each copy resets its node and
+        a generate step only decays. log p(op) is exactly 0 on a step whose
+        operation was forced. Each entry equals the step's recorded
+        log-probability up to summation order.
+        """
+        steps = trajectory.steps
+        prev_ids = [BOS] + [self._prev_id(s.tokens[-1]) for s in steps[:-1]]
+        decay = self.decay_rows([[s.choice] if s.action == OP_COPY else []
+                                 for s in steps[:-1]], len(tree))
+        out = self.teacher_forced(encoder_output, tree, prev_ids, decay)
+        action = np.array([s.action for s in steps])
+        choice = np.array([s.choice for s in steps])
+        gen = np.flatnonzero(action == OP_GEN)
+        p_word = ad.pick(out.gen_probs, gen, choice[gen])
+        if out.copy_probs is None:  # generate-only, or nothing copyable
+            return Tensor(np.zeros(len(steps))), ad.log(p_word)
+        copy = np.flatnonzero(action == OP_COPY)
+        p_word = ad.add(p_word, ad.pick(out.copy_probs, copy, choice[copy]))
+        chose = np.flatnonzero(out.copy_probs.data.any(axis=1))
+        return ad.pick(ad.log(out.op_probs), chose, action[chose]), ad.log(p_word)
+
+    # decoding -------------------------------------------------------------------
 
     def _advance_decay(self, state: DecoderState, copied_node: int | None) -> None:
         if self.config.use_decay and not self.config.generate_only:
@@ -252,117 +293,67 @@ class TreeDecoder:
     def _prev_id(self, token: str | None) -> int:
         return BOS if token is None else self.vocab.id_of(token)
 
-    def decode_greedy(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
-                      max_len: int | None = None, trace: list | None = None) -> list[str]:
-        """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
+    def _rollout(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
+                 choose: Callable[[np.ndarray], int], max_len: int | None,
+                 trace: list | None = None) -> Trajectory:
+        """Decode without recording any op. At each step ``choose`` picks the
+        operation from its probabilities where copying is feasible, then the
+        node or the word; decoding stops at EOS or after ``max_len`` steps.
+        ``trace``, when given, collects one entry per step."""
         max_len = self._max_len(max_len)
+        steps: list[TrajectoryStep] = []
+        tokens: list[str] = []
         with ad.no_grad():
             node_matrix = encoder_output.hidden
             keep = self.copy_keep_mask(tree)
             state = self.initial_state(encoder_output, tree)
             prev: str | None = None
-            out: list[str] = []
             for _ in range(max_len):
-                state, step_out = self.step(state, node_matrix, keep, self._prev_id(prev))
-                copy_ok = step_out.copy_probs is not None
-                if self.config.generate_only or not copy_ok:
-                    op = OP_GEN
+                state, out = self.step(state, node_matrix, keep, self._prev_id(prev))
+                if self.config.generate_only or out.copy_probs is None:
+                    op, logp_op = OP_GEN, 0.0
                 else:
-                    op = int(np.argmax(step_out.op_probs.data))
-                copied = None
+                    op = choose(out.op_probs.data)
+                    logp_op = float(np.log(out.op_probs.data[op]))
+                probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data
+                choice = choose(probs)
                 if op == OP_COPY:
-                    copied = int(np.argmax(step_out.copy_probs.data))
-                    emitted = list(node_surface(tree.node(copied).tokens))
-                    word = None
+                    emitted = node_surface(tree.node(choice).tokens)
                 else:
-                    word = int(np.argmax(step_out.gen_probs.data))
-                    emitted = [] if word == EOS else [self.vocab.token_of(word)]
+                    emitted = () if choice == EOS else (self.vocab.token_of(choice),)
+                rec = TrajectoryStep(action=op, choice=choice, tokens=emitted,
+                                     logp_op=logp_op,
+                                     logp_word=float(np.log(probs[choice])))
+                steps.append(rec)
                 if trace is not None:
-                    trace.append(_trace_entry(state.step - 1, step_out, op, copied,
-                                              word, emitted, state.decay))
-                if op == OP_GEN and word == EOS:
+                    trace.append(_trace_entry(state.step - 1, out, rec, state.decay))
+                if op == OP_GEN and choice == EOS:
                     break
-                out.extend(emitted)
+                tokens.extend(emitted)
                 prev = emitted[-1]
-                self._advance_decay(state, copied)
-            return out
+                self._advance_decay(state, choice if op == OP_COPY else None)
+        return Trajectory(steps=steps, tokens=tokens)
+
+    def decode_greedy(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
+                      max_len: int | None = None, trace: list | None = None) -> list[str]:
+        """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
+        return self._rollout(encoder_output, tree, _argmax, max_len, trace).tokens
 
     def decode_sample(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       rng: np.random.Generator, max_len: int | None = None) -> Trajectory:
-        """Gumbel-Max categorical sampling at both stages.
+        """Gumbel-Max categorical sampling at both stages, the operation drawn
+        before the node or word, recording no op.
 
-        Per-step log-probabilities of the sampled operation and word are
-        recorded; their sum is the log of the trajectory's joint probability.
-        ``Trajectory.scored`` holds them as (log p(op), log p(word)) tensors,
-        traced unless the caller is inside ``no_grad()`` and equal bitwise to
-        what ``score_trajectory`` would rebuild, so a policy gradient needs no
-        replay.
+        Each step keeps the log-probabilities of its sampled operation and
+        word as floats; their sum is the log of the trajectory's joint
+        probability. ``score_trajectory`` gives them traced.
         """
-        max_len = self._max_len(max_len)
-        steps: list[TrajectoryStep] = []
-        tokens: list[str] = []
-        scored: list[tuple[Tensor, Tensor]] = []
-        node_matrix = encoder_output.hidden
-        keep = self.copy_keep_mask(tree)
-        state = self.initial_state(encoder_output, tree)
-        prev: str | None = None
-        for _ in range(max_len):
-            state, step_out = self.step(state, node_matrix, keep, self._prev_id(prev))
-            copy_ok = step_out.copy_probs is not None
-            if self.config.generate_only or not copy_ok:
-                op = OP_GEN
-                logp_op = Tensor(np.asarray(0.0))
-            else:
-                op = _gumbel_pick(step_out.op_probs.data, rng)
-                logp_op = ad.log(ad.at(step_out.op_probs, op))
-            copied = None
-            if op == OP_COPY:
-                copied = _gumbel_pick(step_out.copy_probs.data, rng)
-                logp_word = ad.log(ad.at(step_out.copy_probs, copied))
-                emitted = node_surface(tree.node(copied).tokens)
-                choice = copied
-            else:
-                choice = _gumbel_pick(step_out.gen_probs.data, rng)
-                logp_word = ad.log(ad.at(step_out.gen_probs, choice))
-                emitted = () if choice == EOS else (self.vocab.token_of(choice),)
-            steps.append(TrajectoryStep(action=op, choice=choice, tokens=emitted,
-                                        logp_op=float(logp_op.data),
-                                        logp_word=float(logp_word.data)))
-            scored.append((logp_op, logp_word))
-            if op == OP_GEN and choice == EOS:
-                break
-            tokens.extend(emitted)
-            prev = emitted[-1]
-            self._advance_decay(state, copied)
-        return Trajectory(steps=steps, tokens=tokens, scored=scored)
+        return self._rollout(encoder_output, tree, lambda probs: _gumbel_pick(probs, rng),
+                             max_len)
 
-    def score_trajectory(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
-                         trajectory: Trajectory) -> list[tuple[Tensor, Tensor]]:
-        """Recompute each recorded step teacher-forced on the sampled prefix,
-        returning traced (log p(op), log p(word)) pairs for the policy
-        gradient. Matches the sampled log-probabilities bitwise."""
-        node_matrix = encoder_output.hidden
-        keep = self.copy_keep_mask(tree)
-        state = self.initial_state(encoder_output, tree)
-        prev: str | None = None
-        scored: list[tuple[Tensor, Tensor]] = []
-        for rec in trajectory.steps:
-            state, step_out = self.step(state, node_matrix, keep, self._prev_id(prev))
-            copy_ok = step_out.copy_probs is not None
-            if self.config.generate_only or not copy_ok:
-                logp_op = Tensor(np.asarray(0.0))
-            else:
-                logp_op = ad.log(ad.at(step_out.op_probs, rec.action))
-            if rec.action == OP_COPY:
-                logp_word = ad.log(ad.at(step_out.copy_probs, rec.choice))
-            else:
-                logp_word = ad.log(ad.at(step_out.gen_probs, rec.choice))
-            scored.append((logp_op, logp_word))
-            if rec.action == OP_GEN and rec.choice == EOS:
-                break
-            prev = rec.tokens[-1]
-            self._advance_decay(state, rec.choice if rec.action == OP_COPY else None)
-        return scored
+
+def _argmax(probs: np.ndarray) -> int:
+    return int(np.argmax(probs))
 
 
 def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -373,16 +364,17 @@ def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.argmax(logits + rng.gumbel(size=probs.shape)))
 
 
-def _trace_entry(step: int, out: StepOutput, op: int, copied: int | None,
-                 word: int | None, emitted: list[str], decay: np.ndarray) -> dict:
+def _trace_entry(step: int, out: StepOutput, rec: TrajectoryStep,
+                 decay: np.ndarray) -> dict:
+    copied = rec.action == OP_COPY
     return {
         "step": step,
         "attention": [round(float(a), 6) for a in out.attn_weights.data],
         "op_probs": None if out.op_probs is None
                     else [float(p) for p in out.op_probs.data],
-        "action": "copy" if op == OP_COPY else "generate",
-        "node": copied,
-        "word": word,
-        "emitted": list(emitted),
+        "action": "copy" if copied else "generate",
+        "node": rec.choice if copied else None,
+        "word": None if copied else rec.choice,
+        "emitted": list(rec.tokens),
         "decay": [round(float(x), 6) for x in decay],
     }

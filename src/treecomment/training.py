@@ -10,8 +10,10 @@ first step, so ``mle_loss`` builds the fed tokens and the decay rows in
 numpy and scores all positions in one ``TreeDecoder.teacher_forced`` pass:
 one LSTM op, then attention, heads and gathers over all rows at once. The
 policy-gradient surrogate is plain REINFORCE over sampled trajectories with
-per-step reward-to-go and an exponential-moving-average baseline; sampling
-stays step by step.
+per-step reward-to-go and an exponential-moving-average baseline. A
+trajectory is sampled without recording, then scored by the same kind of
+pass (``TreeDecoder.score_trajectory``), so its surrogate is one dot product
+of the per-step log-probabilities with the advantages.
 """
 
 from __future__ import annotations
@@ -226,18 +228,12 @@ def _teacher_inputs(units: Sequence[TargetUnit], num_nodes: int,
                     decoder: TreeDecoder) -> tuple[list[int], np.ndarray]:
     """The token id fed at each step (BOS first) and the (steps, nodes)
     decay matrix each step sees, for the aligned units of one target."""
-    cfg = decoder.config
-    prev_ids = [BOS]
-    decay = np.zeros((len(units), num_nodes))
-    for t, unit in enumerate(units[:-1]):  # the final EOS unit feeds nothing
-        prev_ids.append(decoder._prev_id(unit.tokens[-1]))
-        if cfg.use_decay and not cfg.generate_only:
-            # teacher forcing marks every node matching a forced copy span;
-            # single-token units are operation-ambiguous and leave decay alone
-            decay[t + 1] = decay[t] * cfg.decay_factor
-            if len(unit.tokens) >= 2:
-                decay[t + 1, list(unit.node_ids)] = 1.0
-    return prev_ids, decay
+    fed = units[:-1]  # the final EOS unit feeds nothing
+    prev_ids = [BOS] + [decoder._prev_id(unit.tokens[-1]) for unit in fed]
+    # teacher forcing marks every node matching a forced copy span;
+    # single-token units are operation-ambiguous and leave decay alone
+    resets = [unit.node_ids if len(unit.tokens) >= 2 else () for unit in fed]
+    return prev_ids, decoder.decay_rows(resets, num_nodes)
 
 
 def _unit_probabilities(units: Sequence[TargetUnit], out: StepOutput) -> Tensor:
@@ -323,7 +319,7 @@ def hrl_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
     Returns (surrogate, total_reward); the surrogate's gradient is the
     score-function estimate of the negative expected-reward gradient, with
     per-step reward-to-go minus the baseline as the multiplier. The sample
-    is traced as it is drawn, so its log-probabilities are not replayed.
+    is drawn without recording and scored in one teacher-forced pass.
     ``encoded`` is the example's encoding when the caller already has it.
     """
     tree = example.tree
@@ -331,12 +327,9 @@ def hrl_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
     trajectory = decoder.decode_sample(enc, tree, rng)
     per_step = step_rewards(trajectory, example.comment, metric)
     to_go = np.cumsum(per_step[::-1])[::-1]
-    advantage = to_go - baseline_value
-    total: Tensor | None = None
-    for (logp_op, logp_word), adv in zip(trajectory.scored, advantage):
-        term = ad.mul(ad.add(logp_op, logp_word), -float(adv))
-        total = term if total is None else ad.add(total, term)
-    return total, float(per_step.sum())
+    logp_op, logp_word = decoder.score_trajectory(enc, tree, trajectory)
+    surrogate = ad.dot(ad.add(logp_op, logp_word), Tensor(-(to_go - baseline_value)))
+    return surrogate, float(per_step.sum())
 
 
 # --- mixed objective -----------------------------------------------------------

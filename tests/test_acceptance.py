@@ -18,6 +18,7 @@ from test_metrics import oracle_bleu, oracle_lcs_by_enumeration, random_pair
 
 from treecomment import autodiff as ad
 from treecomment import checks, cli, metrics
+from treecomment.autodiff import Tensor
 from treecomment.corpus import (EOS, build_vocab, examples_from_pairs,
                                 generate_synthetic, save_corpus_jsonl)
 from treecomment.decoder import (OP_COPY, OP_GEN, DecoderConfig, Trajectory,
@@ -265,12 +266,9 @@ def test_c04_policy_gradient_unbiasedness():
         traj = representative[sig]
         per_step = step_rewards(traj, reference, metric)
         to_go = np.cumsum(per_step[::-1])[::-1]
-        scored = decoder.score_trajectory(encoder.encode(tree), tree, traj)
+        lo, lw = decoder.score_trajectory(encoder.encode(tree), tree, traj)
         store.zero_grads()
-        surrogate = None
-        for (logp_op, logp_word), advantage in zip(scored, to_go):
-            term = ad.mul(ad.add(logp_op, logp_word), -float(advantage))
-            surrogate = term if surrogate is None else ad.add(surrogate, term)
+        surrogate = ad.dot(ad.add(lo, lw), Tensor(-to_go))
         surrogate.backward()
         weight = count / n_samples
         for name, p in store.items():

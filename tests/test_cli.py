@@ -113,6 +113,7 @@ class TestTrainGenerateEvaluate:
         manifest = json.loads((run_a / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["finished_at"] is not None
+        assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
         assert str(corpus_path) in manifest["input_digests"]
 
         code, _, _ = run(train_args(corpus_path, run_b), capsys)
@@ -120,6 +121,25 @@ class TestTrainGenerateEvaluate:
         assert (run_a / "checkpoint.bin").read_bytes() == \
             (run_b / "checkpoint.bin").read_bytes()
         assert (run_a / "log.csv").read_bytes() == (run_b / "log.csv").read_bytes()
+
+    def test_aborted_run_exits_three_and_says_so(self, tmp_path, corpus_path, capsys,
+                                                 monkeypatch):
+        real_train = cli.train
+
+        def diverging(train_examples, dev_examples, cfg, **kwargs):
+            # NaN embeddings make the first loss non-finite
+            poisoned = real_train(train_examples, [], cfg).store.snapshot()
+            poisoned["enc.embed"][...] = float("nan")
+            return real_train(train_examples, dev_examples, cfg, initial_params=poisoned,
+                              **kwargs)
+
+        monkeypatch.setattr(cli, "train", diverging)
+        run_dir = tmp_path / "run"
+        code, _, err = run(train_args(corpus_path, run_dir), capsys)
+        assert code == 3, err
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert (manifest["status"], manifest["exit_code"]) == ("aborted", 3)
 
     def test_generate_and_trace(self, tmp_path, corpus_path, capsys):
         run_dir = tmp_path / "run"

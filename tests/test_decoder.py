@@ -15,6 +15,26 @@ def encoded(encoder, tree):
     return out, out.hidden
 
 
+def replay_trajectory(decoder, enc, tree, traj):
+    """Traced (log p(op), log p(word)) of each step of a decoded trajectory,
+    fed and decayed one ``step`` at a time as decoding does: the reference
+    for ``score_trajectory``."""
+    keep = decoder.copy_keep_mask(tree)
+    state = decoder.initial_state(enc, tree)
+    prev = BOS
+    pairs = []
+    for rec in traj.steps:
+        state, out = decoder.step(state, enc.hidden, keep, prev)
+        op = Tensor(np.asarray(0.0)) if out.copy_probs is None \
+            else ad.log(ad.at(out.op_probs, rec.action))
+        probs = out.copy_probs if rec.action == OP_COPY else out.gen_probs
+        pairs.append((op, ad.log(ad.at(probs, rec.choice))))
+        if rec.tokens:
+            prev = decoder.vocab.id_of(rec.tokens[-1])
+        decoder._advance_decay(state, rec.choice if rec.action == OP_COPY else None)
+    return pairs
+
+
 def run_step(encoder, decoder, tree, decay=None, prev=1):
     enc, mat = encoded(encoder, tree)
     keep = decoder.copy_keep_mask(tree)
@@ -219,6 +239,23 @@ class TestDecay:
         decay = decay_update(decay, None, 0.5)  # step 3
         assert decay.tolist() == [0.25, 0.5]
 
+    @pytest.mark.parametrize("flags", [{}, {"use_decay": False}, {"generate_only": True}],
+                             ids=["decay", "no_decay", "generate_only"])
+    def test_rows_equal_chained_updates(self, flags):
+        _, _, decoder = make_model(decay_factor=0.3, **flags)
+        resets = [[2], [], [0, 3], [], [], [1], [1]]
+        rows = decoder.decay_rows(resets, 4)
+        assert rows.shape == (len(resets) + 1, 4)
+        decay = np.zeros(4)
+        assert rows[0].tobytes() == decay.tobytes()
+        for t, nodes in enumerate(resets):
+            if flags:
+                assert not rows[t + 1].any()
+                continue
+            decay = decay_update(decay, nodes[0] if nodes else None, 0.3)
+            decay[nodes] = 1.0
+            assert rows[t + 1].tobytes() == decay.tobytes()
+
     def test_bad_factor_rejected(self):
         with pytest.raises(ValueError):
             decay_update(np.zeros(1), None, 1.0)
@@ -323,8 +360,8 @@ class TestSampling:
             tree = random_tree(rng)
             enc = encoder.encode(tree)
             traj = decoder.decode_sample(enc, tree, np.random.default_rng(trial))
-            scored = decoder.score_trajectory(enc, tree, traj)
-            total = sum(float(lo.data) + float(lw.data) for lo, lw in scored)
+            lo, lw = decoder.score_trajectory(enc, tree, traj)
+            total = float(lo.data.sum() + lw.data.sum())
             assert abs(total - traj.logprob()) < 1e-9
 
     def test_rescoring_is_bitwise_consistent_per_step(self):
@@ -332,10 +369,22 @@ class TestSampling:
         tree = random_tree(np.random.default_rng(7))
         enc = encoder.encode(tree)
         traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
-        scored = decoder.score_trajectory(enc, tree, traj)
-        for rec, (lo, lw) in zip(traj.steps, scored):
-            assert abs(rec.logp_op - float(lo.data)) <= 1e-12
-            assert abs(rec.logp_word - float(lw.data)) <= 1e-12
+        lo, lw = decoder.score_trajectory(enc, tree, traj)
+        assert lo.shape == lw.shape == (len(traj.steps),)
+        for rec, op, word in zip(traj.steps, lo.data, lw.data):
+            assert abs(rec.logp_op - op) <= 1e-12
+            assert abs(rec.logp_word - word) <= 1e-12
+
+    def test_records_no_op_outside_no_grad(self, monkeypatch):
+        _, encoder, decoder = make_model(seed=34)
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        enc = encoder.encode(tree)
+        made = []
+        result = ad._result
+        monkeypatch.setattr(ad, "_result", lambda *a, **k: made.append(result(*a, **k)) or made[-1])
+        for seed in range(5):
+            decoder.decode_sample(enc, tree, np.random.default_rng(seed))
+        assert made and all(t._backward is None and not t.requires_grad for t in made)
 
     def test_copy_steps_emit_full_surfaces(self):
         _, encoder, decoder = make_model(seed=33)
@@ -449,3 +498,72 @@ class TestTeacherForced:
             term = ad.sumall(ad.mul(tensor, Tensor(w)))
             total = term if total is None else ad.add(total, term)
         return total
+
+
+class TestScoreTrajectory:
+    """``score_trajectory`` scores a decoded trajectory in one teacher-forced
+    pass; it must equal the step-by-step replay in value and in parameter
+    gradients, and the replay must reproduce the floats decoding recorded."""
+
+    @staticmethod
+    def trees(rng):
+        yield parse_sql("SELECT col FROM t WHERE a = 'Two Words'")  # a two-token copy
+        yield parse_sql("SELECT col FROM t")  # one copyable node: a copy decays it fully
+        # nothing copyable under the grammar mask; with the mask off one node is
+        yield TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                            grammar="wikisql")
+        for _ in range(3):
+            yield random_tree(rng)
+
+    @pytest.mark.parametrize("flags", [{}, {"generate_only": True}, {"use_mask": False},
+                                       {"use_decay": False}, {"untyped": True}],
+                             ids=["default", "generate_only", "no_mask", "no_decay",
+                                  "untyped"])
+    def test_equals_step_replay(self, flags):
+        rng = np.random.default_rng(71)
+        store, encoder, decoder = make_model(seed=71, **flags)
+        seen = dict.fromkeys(("long_copy", "short_copy", "forced", "chosen", "eos",
+                              "truncated"), 0)
+        for tree in self.trees(rng):
+            for seed in range(12):
+                max_len = int(rng.integers(1, 7))
+                traj = decoder.decode_sample(encoder.encode(tree), tree,
+                                             np.random.default_rng(seed), max_len=max_len)
+                steps = traj.steps
+                w_op, w_word = rng.normal(size=(2, len(steps)))
+
+                store.zero_grads()
+                lo, lw = decoder.score_trajectory(encoder.encode(tree), tree, traj)
+                ad.add(ad.dot(lo, Tensor(w_op)), ad.dot(lw, Tensor(w_word))).backward()
+                scored_grads = {name: p.grad.copy() for name, p in store.items()}
+
+                store.zero_grads()
+                pairs = replay_trajectory(decoder, encoder.encode(tree), tree, traj)
+                total = None
+                for (op, word), a, b in zip(pairs, w_op, w_word):
+                    term = ad.add(ad.mul(op, float(a)), ad.mul(word, float(b)))
+                    total = term if total is None else ad.add(total, term)
+                total.backward()
+                for name, p in store.items():
+                    assert np.allclose(scored_grads[name], p.grad, rtol=0.0, atol=1e-12), name
+
+                for t, (rec, (op, word)) in enumerate(zip(steps, pairs)):
+                    assert (rec.logp_op, rec.logp_word) == (float(op.data), float(word.data))
+                    assert abs(lo.data[t] - op.data) <= 1e-12
+                    assert abs(lw.data[t] - word.data) <= 1e-12
+                    forced = not op.requires_grad
+                    if forced:
+                        assert lo.data[t] == 0.0
+                    seen["forced"] += forced
+                    seen["chosen"] += not forced
+                    if rec.action == OP_COPY:
+                        seen["long_copy" if len(rec.tokens) > 1 else "short_copy"] += 1
+                if steps[-1].action == OP_GEN and steps[-1].choice == EOS:
+                    seen["eos"] += 1
+                else:
+                    assert len(steps) == max_len
+                    seen["truncated"] += 1
+        expected = {"forced", "eos", "truncated"}
+        if not flags.get("generate_only"):
+            expected |= {"long_copy", "short_copy", "chosen"}
+        assert all(seen[key] for key in expected), seen

@@ -7,6 +7,7 @@ import pytest
 from conftest import WORDS, make_model, random_tree, word_vocab
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_decoder import replay_trajectory
 
 from treecomment import autodiff as ad
 from treecomment import metrics
@@ -329,8 +330,7 @@ class TestHrlLoss:
             if hrl_loss(ex, encoder, decoder, np.random.default_rng(s), BLEU)[1] > 0)
         enc = encoder.encode(tree)
         traj = decoder.decode_sample(enc, tree, np.random.default_rng(sample_seed))
-        before = sum(float(lo.data) + float(lw.data)
-                     for lo, lw in decoder.score_trajectory(enc, tree, traj))
+        before = sum(float(v.data.sum()) for v in decoder.score_trajectory(enc, tree, traj))
         store.zero_grads()
         surrogate, reward = hrl_loss(ex, encoder, decoder,
                                      np.random.default_rng(sample_seed), BLEU,
@@ -339,48 +339,39 @@ class TestHrlLoss:
         surrogate.backward()
         adam_step(store, AdamState(), lr=1e-3)
         enc2 = encoder.encode(tree)
-        after = sum(float(lo.data) + float(lw.data)
-                    for lo, lw in decoder.score_trajectory(enc2, tree, traj))
+        after = sum(float(v.data.sum()) for v in decoder.score_trajectory(enc2, tree, traj))
         assert after > before
 
-    def test_recorded_sample_equals_replay(self):
-        # hrl_loss traces the sample as it is drawn; the replay through
-        # score_trajectory must give the same log-probabilities bitwise and
-        # the same surrogate gradients up to summation order
+    def test_surrogate_equals_step_replay(self):
+        # hrl_loss scores its sample in one teacher-forced pass; the surrogate
+        # and its gradients must equal the same composition over a step-by-step
+        # replay of the sample up to summation order
         store, encoder, decoder = make_model(seed=55, target_extra=("col", "two"))
         tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
         ex = Example(tree=tree, comment=("col", "two", "words"))
         copied = False
         for seed in range(8):
-            enc = encoder.encode(tree)
-            traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
-            replay = decoder.score_trajectory(enc, tree, traj)
-            assert len(traj.scored) == len(replay) == len(traj.steps)
-            for rec, (lo, lw), (ro, rw) in zip(traj.steps, traj.scored, replay):
-                assert lo.data.tobytes() == ro.data.tobytes()
-                assert lw.data.tobytes() == rw.data.tobytes()
-                assert (rec.logp_op, rec.logp_word) == (float(lo.data), float(lw.data))
-            copied |= any(s.action == OP_COPY for s in traj.steps)
-
             store.zero_grads()
             surrogate, reward = hrl_loss(ex, encoder, decoder,
                                          np.random.default_rng(seed), BLEU, 0.1)
             surrogate.backward()
-            recorded = {name: p.grad.copy() for name, p in store.items()}
+            scored = {name: p.grad.copy() for name, p in store.items()}
+
             store.zero_grads()
             enc = encoder.encode(tree)
             traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
             per_step = step_rewards(traj, ex.comment, BLEU)
             advantage = np.cumsum(per_step[::-1])[::-1] - 0.1
             replayed = None
-            for (lo, lw), adv in zip(decoder.score_trajectory(enc, tree, traj), advantage):
+            for (lo, lw), adv in zip(replay_trajectory(decoder, enc, tree, traj), advantage):
                 term = ad.mul(ad.add(lo, lw), -float(adv))
                 replayed = term if replayed is None else ad.add(replayed, term)
-            assert float(replayed.data) == float(surrogate.data)
+            assert abs(float(replayed.data) - float(surrogate.data)) <= 1e-12
             assert reward == float(per_step.sum())
             replayed.backward()
             for name, p in store.items():
-                assert np.allclose(recorded[name], p.grad, rtol=0.0, atol=1e-12), name
+                assert np.allclose(scored[name], p.grad, rtol=0.0, atol=1e-12), name
+            copied |= any(s.action == OP_COPY for s in traj.steps)
         assert copied
 
     def test_baseline_update_is_ema(self):
@@ -389,6 +380,39 @@ class TestHrlLoss:
         assert abs(b.value - 0.1) < 1e-15
         b.update(1.0)
         assert abs(b.value - 0.19) < 1e-15
+
+
+class TestHrlTape:
+    @pytest.mark.parametrize("flags, ops", [({}, 23), ({"generate_only": True}, 15)],
+                             ids=["default", "generate_only"])
+    def test_records_a_constant_number_of_ops(self, flags, ops, monkeypatch):
+        # the teacher-forced pass 15 (LSTM 3, attention 6, heads 2 each, copy
+        # scores and masked softmax 2), its log-probabilities 6 and the
+        # surrogate 2, whatever the sample's length; damping adds 1 once a
+        # copy has decayed a node. Generate-only: LSTM, attention, the
+        # generate head, one pick, one log and the surrogate's 2.
+        _, encoder, decoder = make_model(seed=56, target_extra=("col",), **flags)
+        tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
+        ex = Example(tree=tree, comment=("col", "two", "words"))
+        traced = []
+        result = ad._result
+
+        def counting(*args, **kwargs):
+            out = result(*args, **kwargs)
+            traced.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(ad, "_result", counting)
+        lengths = set()
+        for seed in range(20):
+            enc = encoder.encode(tree)
+            traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
+            lengths.add(len(traj.steps))
+            damped = any(s.action == OP_COPY for s in traj.steps[:-1])
+            traced.clear()
+            hrl_loss(ex, encoder, decoder, np.random.default_rng(seed), BLEU, encoded=enc)
+            assert sum(traced) == ops + damped
+        assert len(lengths) >= 3
 
 
 class TestMixedLoss:
