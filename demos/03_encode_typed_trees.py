@@ -41,7 +41,8 @@ ua = untyped.encode(base).root_hidden.data
 ub = untyped.encode(variant).root_hidden.data
 print("untyped encoder sees no difference:", bool(np.array_equal(ua, ub)))
 
-# parameters materialize lazily with names that make checkpoints diffable
+# the embedding exists from construction; gate weights materialize as trees
+# need them, with names that make checkpoints diffable
 print("\nsome parameter names:")
 for name in list(store.names())[:6]:
     print(" ", name)

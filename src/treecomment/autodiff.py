@@ -19,7 +19,8 @@ weight (for the input weights, one per weight for the whole forest), and a
 hand-written backward that runs the levels top-down and forms each weight
 gradient as one matrix product over all the rows that used the weight. It
 knows no grammar: the plan names weights by integer keys. ``lstm`` runs T
-decoder steps as one op: the input products of all four gates are one
+decoder steps as one op over gate weights bound once as views of stacked
+arrays (``bind_lstm_gates``): the input products of all four gates are one
 matrix product over the T rows, each step adds one stacked recurrent
 product, and the backward is hand-written BPTT whose weight gradients are
 again one matrix product over all steps. Both return a matrix of states
@@ -148,37 +149,12 @@ class Tensor:
                 node._backward = None
                 node._ctx = None
 
-    def __add__(self, other):
-        return add(self, _lift(other, self))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(data, name: str = "") -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
-
-
-def _lift(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.full_like(like.data, float(x)))
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward, ctx=None) -> Tensor:
@@ -365,7 +341,7 @@ def _damp_bw(out, g, parents):
 def _lstm_bw(out, g, parents):
     x, h0, c0 = parents[0], parents[1], parents[2]
     gates, cells, tc = out._ctx
-    w, u, _ = _stacked_gates(parents[3:])
+    w, u = parents[3].data.base, parents[4].data.base  # the bound stacks
     steps, d = tc.shape
     i, f, o, cand = (gates[:, k * d:(k + 1) * d] for k in range(4))
     # pre-activation gradient per unit of dc (input, forget, update gates)
@@ -692,16 +668,40 @@ def damp(probs: Tensor, decay: np.ndarray) -> tuple[Tensor, np.ndarray]:
     return _result(data, (probs,), _damp_bw, (keep, total, live, active)), dead
 
 
+def bind_lstm_gates(weights: Iterable[Tensor]) -> tuple[Tensor, ...]:
+    """Bind the twelve gate tensors ``lstm`` takes: (W, U, b) for the input,
+    forget, output and update gates, in that order. Each kind is copied
+    into one array stacked gate over gate, and every tensor's ``data``
+    becomes its gate's rows of that array, so values do not change.
+
+    ``lstm`` then multiplies by the stacks without rebuilding them. A write
+    into a tensor's data in place reaches its stack; rebinding ``data``
+    unbinds the tensor, and ``lstm`` rejects it. Returns the tensors.
+    """
+    weights = tuple(weights)
+    if len(weights) != 12:
+        raise ShapeError(f"lstm: needs 12 weight tensors, got {len(weights)}")
+    for kind in range(3):
+        gates = weights[kind::3]
+        if len({t.shape for t in gates}) != 1:
+            raise ShapeError(f"lstm: gate shapes {[t.shape for t in gates]} differ")
+        stack = np.concatenate([t.data for t in gates])
+        rows = len(stack) // 4
+        for k, t in enumerate(gates):
+            t.data = stack[k * rows:(k + 1) * rows]
+    return weights
+
+
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor:
     """T LSTM steps over the rows of ``x`` (T, n) from the states ``h0`` and
     ``c0`` (d,), as one traced op; returns the (T + 1, d) matrix
     ``[h_1 .. h_T; c_T]``, which for one step is ``[h; c]``.
 
-    ``weights`` is (W, U, b) for the input, forget, output and update gates,
-    in that order: twelve tensors. A gate's pre-activation at step t is
-    ``W @ x_t + b + U @ h_{t-1}``; ``c_t = f * c_{t-1} + i * u`` and
-    ``h_t = o * tanh(c_t)``. The input products of all steps are one matrix
-    product, and each step adds one product with the stacked U.
+    ``weights`` is the twelve tensors of ``bind_lstm_gates``. A gate's
+    pre-activation at step t is ``W @ x_t + b + U @ h_{t-1}``;
+    ``c_t = f * c_{t-1} + i * u`` and ``h_t = o * tanh(c_t)``. The input
+    products of all steps are one matrix product with the stacked W, and
+    each step adds one product with the stacked U.
     """
     weights = tuple(weights)
     if len(weights) != 12:
@@ -711,7 +711,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
         raise ShapeError(f"lstm: inputs {x.shape} must be a non-empty 2-D matrix and "
                          f"hidden {h0.shape} and cell {c0.shape} equal 1-D shapes")
     steps, d = x.data.shape[0], h0.data.size
-    w, u, b = _stacked_gates(weights)
+    stacks = w, u, b = weights[0].data.base, weights[1].data.base, weights[2].data.base
+    for k, t in enumerate(weights):
+        if stacks[k % 3] is None or t.data.base is not stacks[k % 3]:
+            raise ShapeError("lstm: gate weights are not bound by bind_lstm_gates")
     pre = x.data @ w.T + b
     gates = np.empty((steps, 4 * d))
     cells = np.empty((steps + 1, d))
@@ -729,14 +732,6 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
         h = data[t] = gate[2 * d:3 * d] * tc[t]
     data[steps] = cells[steps]
     return _result(data, (x, h0, c0) + weights, _lstm_bw, (gates, cells, tc))
-
-
-def _stacked_gates(weights):
-    """The W, U and b of the four LSTM gates, each stacked gate over gate.
-    Rebuilt where needed rather than saved on the tape: each sampled step
-    would otherwise hold its own copy of every weight until backward."""
-    return tuple(np.concatenate([weights[k].data for k in range(kind, 12, 3)])
-                 for kind in range(3))
 
 
 def _ids(values) -> np.ndarray:

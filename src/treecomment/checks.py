@@ -88,7 +88,6 @@ def decoder_step_check(seed: int = 0) -> float:
     decay = np.zeros(len(tree))
     decay[int(np.flatnonzero(keep)[0])] = 0.4  # exercise the (1 - decay) path
     encoder.encode(tree)  # materialize parameters before selecting the subset
-    decoder_probe_loss(encoder, decoder, tree, keep, decay)  # dec params too
 
     def loss():
         return decoder_probe_loss(encoder, decoder, tree, keep, decay)

@@ -26,7 +26,6 @@ from . import __version__, checks, metrics
 from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examples,
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
                      source_token_stream, tokenize_comment)
-from .encoder import trained_types
 from .params import load_checkpoint, save_checkpoint
 from .parsers import ParseError, parse_lambda, parse_sql
 from .trees import TreeError, get_grammar, tree_stats
@@ -64,12 +63,13 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(run_dir: Path, command: str, config_text: str, seed: int,
-                   inputs: list[Path]) -> Path:
+                   grammar: str | None, inputs: list[Path]) -> Path:
     manifest = {
         "format_version": MANIFEST_VERSION,
         "command": command,
         "config": config_text,
         "seed": seed,
+        "grammar": grammar,
         "version": f"treecomment-{__version__}",
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -173,12 +173,12 @@ def cmd_train(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(args.corpus)] + ([Path(args.dev)] if args.dev else []) \
         + ([Path(args.config)] if args.config else [])
-    config_text = config_to_text(cfg)
-    (run_dir / "config.cfg").write_text(config_text)
-    manifest_path = write_manifest(run_dir, "train", config_text, cfg.seed, inputs)
-
     train_examples = load_corpus_jsonl(args.corpus)
     dev_examples = load_corpus_jsonl(args.dev) if args.dev else []
+    config_text = config_to_text(cfg)
+    (run_dir / "config.cfg").write_text(config_text)
+    grammar = train_examples[0].tree.grammar if train_examples else None
+    manifest_path = write_manifest(run_dir, "train", config_text, cfg.seed, grammar, inputs)
 
     log_path = run_dir / "log.csv"
     with open(log_path, "w", newline="") as fh:
@@ -233,17 +233,22 @@ def cmd_generate(args) -> int:
     if not examples:
         print("no inputs to generate from", file=sys.stderr)
         return EXIT_DATA
-    grammar_name = examples[0].tree.grammar
-    params = load_checkpoint(checkpoint)
-    # a run trained on another grammar has no weights for this one's node
-    # types; refuse before any output instead of serving untrained weights
-    foreign = trained_types(params) - get_grammar(grammar_name).types
-    if foreign:
-        print(f"{checkpoint} was trained on node types {sorted(foreign)}, which grammar "
-              f"{grammar_name!r} lacks; generate with the grammar of the run",
+    # a model serves only the grammar it was trained on: refuse any other
+    # before output instead of serving untrained weights
+    manifest_path = run_dir / "manifest.json"
+    trained = json.loads(manifest_path.read_text()).get("grammar")
+    if trained is None:
+        print(f"{manifest_path} records no grammar; retrain the run to generate from it",
               file=sys.stderr)
         return EXIT_DATA
-    store, encoder, decoder = build_model(cfg, grammar_name, src_vocab, tgt_vocab)
+    given = sorted({ex.tree.grammar for ex in examples})
+    if given != [trained]:
+        print(f"{run_dir} was trained on grammar {trained!r} but the input has grammar "
+              f"{', '.join(map(repr, given))}; generate with the grammar of the run",
+              file=sys.stderr)
+        return EXIT_DATA
+    params = load_checkpoint(checkpoint)
+    store, encoder, decoder = build_model(cfg, trained, src_vocab, tgt_vocab)
     store.load_snapshot(params)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
@@ -258,6 +263,10 @@ def cmd_generate(args) -> int:
     finally:
         if trace_fh:
             trace_fh.close()
+    untrained = [name for name in store.names() if name not in params]
+    if untrained:
+        print(f"{checkpoint} lacks {len(untrained)} weights these inputs needed; they "
+              f"kept their initial values: {', '.join(untrained)}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -107,34 +107,19 @@ def decay_update(decay: np.ndarray, copied_node: int | None, factor: float) -> n
 class TreeDecoder:
     def __init__(self, store: ParamStore, grammar: Grammar,
                  target_vocab: Vocab, config: DecoderConfig):
-        self.store = store
         self.grammar = grammar
         self.vocab = target_vocab
         self.config = config
-        self._cache: dict[str, Tensor] = {}
-        self._lstm_weights: tuple[Tensor, ...] | None = None
-
-    # parameter accessors -----------------------------------------------------
-
-    def _param(self, name: str, shape) -> Tensor:
-        t = self._cache.get(name)
-        if t is None:
-            t = self.store.get(name, shape)
-            self._cache[name] = t
-        return t
-
-    def embedding(self) -> Tensor:
-        return self._param("dec.embed", (len(self.vocab), self.config.hidden_size))
-
-    def _attn_w(self) -> Tensor:
-        d = self.config.hidden_size
-        return self._param("dec.attn.Wq", (d, 2 * d))
-
-    def _op_w(self) -> Tensor:
-        return self._param("dec.op.Ws", (2, self.config.hidden_size))
-
-    def _gen_w(self) -> Tensor:
-        return self._param("dec.gen.Wg", (len(self.vocab), self.config.hidden_size))
+        # every weight, created in the order a decoding step reads them; the
+        # twelve LSTM gates are bound once as views of three stacked arrays
+        d, v = config.hidden_size, len(target_vocab)
+        self.embed = store.get("dec.embed", (v, d))
+        self.lstm_weights = ad.bind_lstm_gates(
+            store.get(f"dec.lstm.{kind}[{gate}]", (d,) if kind == "b" else (d, d))
+            for gate in "ifou" for kind in "WUb")
+        self.attn_w = store.get("dec.attn.Wq", (d, 2 * d))
+        self.gen_w = store.get("dec.gen.Wg", (v, d))
+        self.op_w = None if config.generate_only else store.get("dec.op.Ws", (2, d))
 
     # step operations ----------------------------------------------------------
 
@@ -147,13 +132,8 @@ class TreeDecoder:
     def _lstm(self, hidden: Tensor, cell: Tensor, prev_token_ids: list[int]) -> Tensor:
         """The LSTM over the embeddings of ``prev_token_ids`` from (hidden,
         cell): rows ``[h_1 .. h_T; c_T]``."""
-        x = ad.rows(self.embedding(), prev_token_ids)
-        if self._lstm_weights is None:  # resolved once: every step reads all twelve
-            d = self.config.hidden_size
-            self._lstm_weights = tuple(
-                self._param(f"dec.lstm.{kind}[{gate}]", (d,) if kind == "b" else (d, d))
-                for gate in "ifou" for kind in "WUb")
-        return ad.lstm(x, hidden, cell, self._lstm_weights)
+        x = ad.rows(self.embed, prev_token_ids)
+        return ad.lstm(x, hidden, cell, self.lstm_weights)
 
     def recurrence(self, hidden: Tensor, cell: Tensor, prev_token_id: int) -> tuple[Tensor, Tensor]:
         """One LSTM cell over the embedding of the previously emitted token."""
@@ -165,14 +145,14 @@ class TreeDecoder:
         one row each per row of ``hidden``."""
         weights = ad.softmax(ad.linear(hidden, node_matrix))
         pooled = ad.matmul(weights, node_matrix)
-        vector = ad.tanh(ad.linear(ad.concat([pooled, hidden]), self._attn_w()))
+        vector = ad.tanh(ad.linear(ad.concat([pooled, hidden]), self.attn_w))
         return weights, vector
 
     def operation_distribution(self, attn_vector: Tensor) -> Tensor:
-        return ad.softmax(ad.linear(attn_vector, self._op_w()))
+        return ad.softmax(ad.linear(attn_vector, self.op_w))
 
     def generation_distribution(self, attn_vector: Tensor) -> Tensor:
-        return ad.softmax(ad.linear(attn_vector, self._gen_w()))
+        return ad.softmax(ad.linear(attn_vector, self.gen_w))
 
     def copy_keep_mask(self, tree: TokenTypeTree) -> np.ndarray:
         """True where a node may be copied (``corpus.copyable_nodes`` under

@@ -63,9 +63,10 @@ def param_name(gate: str, kind: str, node_type: str, slot: int = 0, k: int = 0) 
 class TreeEncoder:
     """Bottom-up encoder over token-type trees.
 
-    Parameters are created lazily in the shared store under names like
-    ``enc.i.W[type=stmt]`` / ``enc.f.U[slot=1][k=2][type=string]`` so
-    checkpoints stay diffable.
+    The source embedding ``enc.embed`` is created with the encoder; a gate
+    weight is created in the shared store when a tree first needs it, under
+    names like ``enc.i.W[type=stmt]`` / ``enc.f.U[slot=1][k=2][type=string]``
+    so checkpoints stay diffable.
     """
 
     def __init__(self, store: ParamStore, grammar: Grammar,
@@ -74,15 +75,13 @@ class TreeEncoder:
         self.grammar = grammar
         self.vocab = source_vocab
         self.config = config
-
-    def embedding(self) -> Tensor:
-        return self.store.get("enc.embed", (len(self.vocab), self.config.hidden_size))
+        self.embed = store.get("enc.embed", (len(source_vocab), config.hidden_size))
 
     def embed_nodes(self, token_lists) -> Tensor:
         """Mean source embedding of each node's tokens, one row per entry of
         ``token_lists``; a node without tokens gets a zero row."""
         ids = [self.vocab.id_of(t.lower()) for tokens in token_lists for t in tokens]
-        return ad.embedding_means(self.embedding(), ids, [len(t) for t in token_lists])
+        return ad.embedding_means(self.embed, ids, [len(t) for t in token_lists])
 
     def _check(self, tree: TokenTypeTree) -> None:
         grammar = self.grammar
@@ -162,15 +161,6 @@ class TreeEncoder:
             g, k = divmod(rest, width + 1)
             us.append(get(param_name(GATES[g], "U", names[t], slot + 1, k), (d, d)))
         return plan, pairs, us
-
-
-def trained_types(names) -> set[str]:
-    """Node types named by typed encoder weights ``enc.<gate>.W[type=...]``
-    among parameter ``names``; an untyped model's ``any`` names none."""
-    types = {name[name.index("[type=") + 6:-1] for name in names
-             if name.startswith("enc.") and ".W[type=" in name}
-    types.discard("any")
-    return types
 
 
 def encoder_gradient_check(encoder: TreeEncoder, trees: Sequence[TokenTypeTree],

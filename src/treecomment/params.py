@@ -47,7 +47,7 @@ def _name_rng(seed: int, name: str) -> np.random.Generator:
 class ParamStore:
     """Mapping of hierarchical names to trainable tensors.
 
-    Every trainable tensor is registered exactly once; gradients are kept
+    Every trainable tensor is created exactly once; gradients are kept
     as always-allocated arrays so the optimizer can treat "no gradient" as
     a caller error rather than a silent zero.
     """
@@ -68,16 +68,6 @@ class ParamStore:
         t.zero_grad()
         self._entries[name] = t
         return t
-
-    def register(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self._entries:
-            raise ValueError(f"parameter {name!r} already registered")
-        tensor.requires_grad = True
-        tensor.name = name
-        if tensor.grad is None:
-            tensor.zero_grad()
-        self._entries[name] = tensor
-        return tensor
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -110,7 +100,7 @@ class ParamStore:
                 t = self._entries[name]
                 if t.shape != data.shape:
                     raise ValueError(f"parameter {name!r}: checkpoint shape {data.shape} != {t.shape}")
-                t.data = data.copy()
+                t.data[...] = data  # in place: bound views stay bound
             else:
                 t = Tensor(data.copy(), requires_grad=True, name=name)
                 t.zero_grad()
@@ -127,11 +117,9 @@ class AdamState:
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
-    total = 0.0
-    for _, p in store.items():
-        if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
-    norm = math.sqrt(total)
+    # fsum rounds once, so the norm does not depend on the store's order
+    norm = math.sqrt(math.fsum(float((p.grad * p.grad).sum())
+                               for _, p in store.items() if p.grad is not None))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for _, p in store.items():
@@ -142,7 +130,7 @@ def clip_global_norm(store: ParamStore, max_norm: float) -> float:
 
 def adam_step(store: ParamStore, state: AdamState, lr: float = 1e-3,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update over every registered parameter.
+    """One bias-corrected Adam update over every parameter in the store.
 
     Gradients must be populated (arrays, possibly zero) for all entries and
     are zeroed after the update.

@@ -77,6 +77,17 @@ class TestPrimitivesForward:
 
         assert_fused_equals_composition(fused, composed, forward_atol=1e-14)
 
+    def test_bound_gates_are_views_of_one_stack_per_kind(self):
+        rng = np.random.default_rng(3)
+        weights = [leaf(rng.normal(size=(4,) if k % 3 == 2 else (4, 4))) for k in range(12)]
+        values = [t.data.copy() for t in weights]
+        ad.bind_lstm_gates(weights)
+        for k, t in enumerate(weights):
+            stack = weights[k % 3].data.base
+            assert stack.shape[0] == 16
+            assert np.array_equal(stack[(k // 3) * 4:(k // 3 + 1) * 4], values[k])
+            assert np.array_equal(t.data, values[k]) and t.data.base is stack
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_tree_lstm_node_equals_gate_composition(self, shared):
         # the root of a forest whose levels mix arities, against the per-gate
@@ -94,6 +105,10 @@ class TestPrimitivesForward:
             ad.lstm(p["m"], p["y"], p["pos"], lstm_weights(p)[:11])
         with pytest.raises(ShapeError):  # inputs must be one row per step
             ad.lstm(p["x"], p["y"], p["pos"], lstm_weights(p))
+        with pytest.raises(ShapeError):  # gate weights not bound as stacked views
+            ad.lstm(p["m"], p["y"], p["pos"], [leaf(t.data.copy()) for t in lstm_weights(p)])
+        with pytest.raises(ShapeError):  # gates of one kind differ in shape
+            ad.bind_lstm_gates(lstm_weights(p)[:11] + [p["w"]])
         keys = np.zeros((2, 4), dtype=int), np.zeros((2, 4, 1), dtype=int)
         with pytest.raises(ShapeError):  # one child but no forget gate keys
             ad.TreePlan([[1], [-1]], keys[0][:, :3], keys[1][:, :3])
@@ -218,6 +233,8 @@ def op_params():
     params["pm"] = leaf(rng.uniform(0.5, 2.0, size=(3, 4)))
     # node inputs of the Tree-LSTM forests, one row per node
     params["phi"] = leaf(rng.normal(size=(7, 4)))
+    # the LSTM reads its gate weights as views of stacked arrays
+    ad.bind_lstm_gates(lstm_weights(params))
     return params
 
 
@@ -427,7 +444,8 @@ def test_each_operation_matches_finite_differences(op):
 def test_each_fused_cell_matches_finite_differences(op):
     # a fused cell is a deep graph with many inputs; as in the gradient
     # suite, the five-point stencil at a wider step keeps roundoff on its
-    # small gradient coordinates below the tolerance
+    # small gradient coordinates below the tolerance. The LSTM's probes
+    # perturb its gate weights through their bound views.
     params = op_params()
     used = used_params(params, FUSED_LOSSES[op](params))
     assert len(used) >= 4

@@ -114,6 +114,7 @@ class TestTrainGenerateEvaluate:
         assert manifest["command"] == "train"
         assert manifest["finished_at"] is not None
         assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
+        assert manifest["grammar"] == "wikisql"
         assert str(corpus_path) in manifest["input_digests"]
 
         code, _, _ = run(train_args(corpus_path, run_b), capsys)
@@ -186,12 +187,40 @@ class TestTrainGenerateEvaluate:
                               "--input", str(src), "--lang", "lambda"], capsys)
         assert code == 2
         assert out == ""
-        assert "trained on node types" in err and "'atis' lacks" in err
+        assert "trained on grammar 'wikisql'" in err and "'atis'" in err
+
+    def test_untyped_run_refuses_another_grammar(self, tmp_path, corpus_path, capsys):
+        # an untyped encoder's weights name no node type, so only the
+        # grammar recorded in the manifest tells the runs apart
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir, ["--set", "no_type_assoc=true"]),
+                   capsys)[0] == 0
+        assert json.loads((run_dir / "manifest.json").read_text())["grammar"] == "wikisql"
+        src = tmp_path / "code.txt"
+        src.write_text("(lambda $0 e (and (flight $0) (from $0 boston:ci)))\n")
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(src), "--lang", "lambda"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "trained on grammar 'wikisql'" in err
+
+    def test_generate_refuses_manifest_without_grammar(self, tmp_path, corpus_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        del manifest["grammar"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(corpus_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "records no grammar" in err
 
     def test_generate_serves_unseen_in_grammar_combinations(self, tmp_path, corpus_path,
                                                             capsys):
         # synthetic SQL has one WHERE condition; a second one needs encoder
         # slot weights the run never created, which keep their initial values
+        # and are named on stderr
         run_dir = tmp_path / "run"
         assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
         src = tmp_path / "code.txt"
@@ -200,6 +229,8 @@ class TestTrainGenerateEvaluate:
                               "--input", str(src), "--lang", "sql"], capsys)
         assert code == 0, err
         assert len(out.splitlines()) == 1
+        [line] = [l for l in err.splitlines() if "kept their initial values" in l]
+        assert "enc.i.U[slot=3][type=cond_expr]" in line and "dec." not in line
 
     def test_evaluate_report_format(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"

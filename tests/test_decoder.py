@@ -98,7 +98,7 @@ class TestAttention:
 
     def test_zero_projection_gives_zero_vector(self):
         store, _, decoder = make_model(seed=2)
-        decoder._attn_w().data[...] = 0.0
+        decoder.attn_w.data[...] = 0.0
         mat = ad.stack_rows([Tensor(np.ones(6)), Tensor(np.zeros(6))])
         _, vector = decoder.attend(Tensor(np.ones(6)), mat)
         assert np.array_equal(vector.data, np.zeros(6))
@@ -107,13 +107,13 @@ class TestAttention:
 class TestOperationAndGeneration:
     def test_zero_head_is_uniform(self):
         _, _, decoder = make_model(seed=4)
-        decoder._op_w().data[...] = 0.0
+        decoder.op_w.data[...] = 0.0
         probs = decoder.operation_distribution(Tensor(np.ones(6)))
         assert np.allclose(probs.data, [0.5, 0.5], atol=1e-15)
 
     def test_dominant_logit_wins(self):
         _, _, decoder = make_model(seed=4)
-        w = decoder._op_w()
+        w = decoder.op_w
         w.data[...] = 0.0
         w.data[OP_COPY, :] = 10.0
         probs = decoder.operation_distribution(Tensor(np.ones(6) / 6))
@@ -288,10 +288,10 @@ class TestGreedy:
         tree = random_tree(np.random.default_rng(2))
         enc = encoder.encode(tree)
         decoder.decode_greedy(enc, tree, max_len=2)  # materialize params
-        wg = decoder._gen_w()
+        wg = decoder.gen_w
         wg.data[...] = 0.0
         wg.data[EOS, :] = 50.0
-        ws = decoder._op_w()
+        ws = decoder.op_w
         ws.data[...] = 0.0
         ws.data[OP_GEN, :] = 50.0  # generation operation dominates
         assert decoder.decode_greedy(enc, tree) == []

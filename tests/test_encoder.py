@@ -72,7 +72,7 @@ def typed_reference(tree, store, vocab, hidden_size, tied=False):
 class TestEmbedNode:
     def test_single_token_is_its_row(self):
         _, encoder, _ = make_model()
-        table = encoder.embedding()
+        table = encoder.embed
         out = encoder.embed_nodes([("alpha",)])
         assert np.array_equal(out.data[0], table.data[encoder.vocab.id_of("alpha")])
 
@@ -83,7 +83,7 @@ class TestEmbedNode:
 
     def test_two_tokens_average(self):
         _, encoder, _ = make_model()
-        table = encoder.embedding().data
+        table = encoder.embed.data
         v = encoder.vocab
         out = encoder.embed_nodes([("alpha", "beta")])
         want = (table[v.id_of("alpha")] + table[v.id_of("beta")]) / 2.0
@@ -91,7 +91,7 @@ class TestEmbedNode:
 
     def test_unknown_token_falls_back_to_unk(self):
         _, encoder, _ = make_model()
-        table = encoder.embedding().data
+        table = encoder.embed.data
         out = encoder.embed_nodes([("neverseen",)])
         assert np.array_equal(out.data[0], table[3])
 
@@ -304,13 +304,14 @@ class TestBatch:
 
     def test_errors_before_any_parameter(self):
         store, encoder, _ = make_model()
+        built = store.names()  # the embeddings and the decoder's weights
         good = random_tree(np.random.default_rng(4))
         wide = TokenTypeTree(nodes=(Node(0, "stmt", (), tuple(range(1, 6))),
                                     *(Node(i, "string", ("alpha",), ()) for i in range(1, 6))),
                              grammar="wikisql")
         with pytest.raises(ValueError, match="arity"):
             encoder.encode_batch([good, wide])
-        assert len(store) == 0
+        assert store.names() == built
 
     def test_empty_batch(self):
         _, encoder, _ = make_model()

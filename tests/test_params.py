@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecomment import autodiff as ad
-from treecomment.autodiff import Tensor
-from treecomment.params import (AdamState, ParamStore, adam_step, load_checkpoint,
-                                save_checkpoint, xavier_init)
+from treecomment.params import (AdamState, ParamStore, adam_step, clip_global_norm,
+                                load_checkpoint, save_checkpoint, xavier_init)
 
 
 class TestXavier:
@@ -59,12 +58,6 @@ class TestParamStore:
         assert np.array_equal(a["x"].data, b["x"].data)
         assert np.array_equal(a["y"].data, b["y"].data)
 
-    def test_duplicate_register_rejected(self):
-        store = ParamStore()
-        store.register("w", Tensor(np.zeros(2)))
-        with pytest.raises(ValueError):
-            store.register("w", Tensor(np.zeros(2)))
-
     def test_get_shape_conflict_rejected(self):
         store = ParamStore()
         store.get("w", (2, 2))
@@ -78,6 +71,19 @@ class TestParamStore:
         store["a"].data += 1.0
         store.load_snapshot(snap)
         assert np.array_equal(store["a"].data, snap["a"])
+
+    def test_load_snapshot_copies_in_place(self):
+        store = ParamStore(seed=1)
+        view = store.get("a", (4,)).data
+        store.load_snapshot({"a": np.arange(4.0)})
+        assert store["a"].data is view and view.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_load_snapshot_rejects_shape_mismatch(self):
+        store = ParamStore(seed=1)
+        before = store.get("a", (2, 2)).data.copy()
+        with pytest.raises(ValueError, match="'a'"):
+            store.load_snapshot({"a": np.zeros((3, 2))})
+        assert np.array_equal(store["a"].data, before)
 
 
 class TestAdam:
@@ -110,7 +116,8 @@ class TestAdam:
             expected -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
         store = ParamStore()
-        p = store.register("w", Tensor(np.array([0.5])))
+        p = store.get("w", (1,))
+        p.data[...] = 0.5
         state = AdamState()
         for _ in range(2):
             p.grad = np.array([1.0])
@@ -119,7 +126,7 @@ class TestAdam:
 
     def test_missing_grad_names_the_parameter(self):
         store = ParamStore()
-        store.register("enc.w", Tensor(np.zeros(2)))
+        store.get("enc.w", (2,))
         store["enc.w"].grad = None
         with pytest.raises(ValueError, match="enc.w"):
             adam_step(store, AdamState())
@@ -138,6 +145,20 @@ class TestAdam:
         adam_step(store, state)
         adam_step(store, state)
         assert state.t == 2
+
+
+class TestClip:
+    def test_norm_does_not_depend_on_store_order(self):
+        # squares 1e16, 1, 1: summed one by one, the order decides whether
+        # the small terms survive rounding
+        grads = {"a": [1e8], "b": [1.0], "c": [1.0]}
+        norms = []
+        for order in ("abc", "bca"):
+            store = ParamStore()
+            for name in order:
+                store.get(name, (1,)).grad = np.array(grads[name])
+            norms.append(clip_global_norm(store, 10.0))
+        assert norms[0] == norms[1] == math.sqrt(1e16 + 2.0)
 
 
 class TestCheckpoint:

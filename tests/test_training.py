@@ -508,6 +508,77 @@ class TestConfig:
         assert cfg.seed == 5 and cfg.hidden_size == 16
 
 
+DECODER_WEIGHTS = ["dec.embed", *(f"dec.lstm.{kind}[{gate}]" for gate in "ifou" for kind in "WUb"),
+                   "dec.attn.Wq", "dec.gen.Wg", "dec.op.Ws"]
+
+
+class TestModelBuiltOnce:
+    """``build_model`` creates the embeddings and every decoder weight, and
+    binds the decoder's LSTM gates as views of three stacked arrays; nothing
+    after it creates a decoder weight or unbinds a gate."""
+
+    @staticmethod
+    def model(generate_only=False, seed=4):
+        examples = examples_from_pairs(generate_synthetic(8, seed=seed), "sql")
+        cfg = TrainConfig(hidden_size=6, seed=seed, min_freq_source=1, min_freq_target=1,
+                          generate_only=generate_only, max_decode_len=8)
+        source_vocab = build_vocab((source_token_stream(ex.tree) for ex in examples), 1)
+        target_vocab = build_vocab((ex.comment for ex in examples), 1)
+        return (examples, cfg, source_vocab, target_vocab,
+                build_model(cfg, "wikisql", source_vocab, target_vocab))
+
+    @staticmethod
+    def assert_bound(store, stacks):
+        for k, name in enumerate(DECODER_WEIGHTS[1:13]):
+            assert store[name].data.base is stacks[k % 3], name
+            assert np.shares_memory(store[name].data, stacks[k % 3]), name
+
+    @pytest.mark.parametrize("generate_only", [False, True])
+    def test_build_creates_every_weight_once(self, generate_only):
+        *_, (store, _, decoder) = self.model(generate_only)
+        want = ["enc.embed"] + DECODER_WEIGHTS[:15 if generate_only else 16]
+        assert store.names() == want
+        assert len(store) == (16 if generate_only else 17)
+        assert [t.name for t in decoder.lstm_weights] == DECODER_WEIGHTS[1:13]
+
+    @pytest.mark.parametrize("generate_only", [False, True])
+    def test_decoding_creates_no_weight(self, generate_only):
+        examples, *_, (store, encoder, decoder) = self.model(generate_only)
+        tree = examples[0].tree
+        enc = encoder.encode(tree)  # creates the encoder gate weights it needs
+        built = store.names()
+        decoder.decode_greedy(enc, tree)
+        decoder.decode_sample(enc, tree, np.random.default_rng(0))
+        decoder.teacher_forced(enc, tree, [1, 4, 5], np.zeros((3, len(tree))))
+        assert store.names() == built
+
+    def test_gates_stay_bound_through_adam_and_load_snapshot(self):
+        examples, cfg, source_vocab, target_vocab, (store, encoder, decoder) = self.model()
+        stacks = [decoder.lstm_weights[kind].data.base for kind in range(3)]
+        self.assert_bound(store, stacks)
+        mle_loss(examples[0], encoder, decoder)  # create the encoder weights first
+        store.zero_grads()
+        mle_loss(examples[0], encoder, decoder).backward()
+        before = store["dec.lstm.U[f]"].data.copy()
+        adam_step(store, AdamState(), lr=0.01)
+        assert not np.array_equal(store["dec.lstm.U[f]"].data, before)
+        self.assert_bound(store, stacks)
+
+        snapshot = train(examples, [], TrainConfig(
+            hidden_size=6, seed=9, total_steps=2, batch_size=4, mle_only=True,
+            min_freq_source=1, min_freq_target=1, max_decode_len=8)).store.snapshot()
+        store.load_snapshot(snapshot)
+        self.assert_bound(store, stacks)
+        for name, data in snapshot.items():
+            assert np.array_equal(store[name].data, data), name
+        fresh, fresh_encoder, fresh_decoder = build_model(cfg, "wikisql", source_vocab,
+                                                          target_vocab)
+        fresh.load_snapshot(snapshot)
+        for ex in examples:
+            assert decoder.decode_greedy(encoder.encode(ex.tree), ex.tree) == \
+                fresh_decoder.decode_greedy(fresh_encoder.encode(ex.tree), ex.tree)
+
+
 class TestTrainLoop:
     def corpus(self, n=8, seed=0):
         return examples_from_pairs(generate_synthetic(n, seed=seed), "sql")
