@@ -26,13 +26,17 @@ product, and the backward is hand-written BPTT whose weight gradients are
 again one matrix product over all steps. Both return a matrix of states
 (``[H; C]`` for a forest, ``[h_1 .. h_T; c_T]`` for the LSTM) that ``row``
 and ``rows`` read; ``embedding_means`` gives the token-mean inputs of all
-of a forest's nodes at once.
+of a forest's nodes at once. ``lstm_rows`` runs one step of the same gate
+arithmetic (``_lstm_cell``) for B independent rows, recording nothing: the
+step of lockstep decoding.
 
 The ops the decoder heads need work on a single vector or on a matrix with
 one row per position: ``linear`` (``x @ W.T``), ``softmax`` and ``concat``
 over the last axis, ``matmul`` with a vector on the left, the copy damping
 ``damp``, and the gathers ``rows`` and ``pick``. So one head computes a
-single decoding step or every teacher-forced position at once.
+single decoding step, every teacher-forced position, or one step of many
+trees at once; ``softmax`` takes one mask shared by every row or one mask
+row per row.
 
 No operation creates a function object, and a tensor refers only to its
 inputs, never to itself or to anything downstream. A graph is therefore
@@ -531,20 +535,32 @@ def tanh(x: Tensor) -> Tensor:
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis of a vector or of each row of a matrix.
 
-    ``keep`` is an optional boolean mask over the last axis, shared by every
-    row: entries where it is False get probability exactly 0.0 and receive no
-    gradient. This realizes additive minus-infinity masking without
-    NaN-producing arithmetic.
+    ``keep`` is an optional boolean mask: entries where it is False get
+    probability exactly 0.0 and receive no gradient. This realizes additive
+    minus-infinity masking without NaN-producing arithmetic. A mask over the
+    last axis is shared by every row and must keep some entry. A matrix may
+    instead take one mask row per row, of its own shape; a row that keeps
+    nothing comes out all zero. Such a row's normalizer sums the masked
+    zeros too, so it may differ in the last bits from that of a shared mask
+    equal to the row.
     """
     if x.data.ndim not in (1, 2) or x.data.shape[-1] == 0:
         raise ShapeError(f"softmax: need a non-empty last axis on 1-D or 2-D input, "
                          f"got {x.shape}")
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
     if keep is None:
         kept = x.data
         z = np.exp(kept - kept.max(axis=-1, keepdims=True))
         y = z / z.sum(axis=-1, keepdims=True)
+    elif keep.ndim == 2:
+        if keep.shape != x.shape:
+            raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
+        m = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+        z = np.exp(np.where(keep, x.data - m, -np.inf))  # a row that keeps nothing: 0
+        total = z.sum(axis=-1, keepdims=True)
+        y = np.divide(z, total, out=z, where=total > 0.0)
     else:
-        keep = np.asarray(keep, dtype=bool)
         if keep.shape != x.shape[-1:]:
             raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
         if not keep.any():
@@ -692,6 +708,33 @@ def bind_lstm_gates(weights: Iterable[Tensor]) -> tuple[Tensor, ...]:
     return weights
 
 
+def _gate_stacks(weights: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked W, U and b arrays of twelve gate tensors bound by
+    ``bind_lstm_gates``."""
+    if len(weights) != 12:
+        raise ShapeError(f"lstm: needs 12 weight tensors, got {len(weights)}")
+    stacks = weights[0].data.base, weights[1].data.base, weights[2].data.base
+    for k, t in enumerate(weights):
+        if stacks[k % 3] is None or t.data.base is not stacks[k % 3]:
+            raise ShapeError("lstm: gate weights are not bound by bind_lstm_gates")
+    return stacks
+
+
+def _lstm_cell(a: np.ndarray, c: np.ndarray, gates: np.ndarray, cell: np.ndarray,
+               tc: np.ndarray) -> np.ndarray:
+    """The gate arithmetic of one LSTM step, for one state or row by row for
+    a matrix of them: from the pre-activations ``a`` (..., 4d) of the input,
+    forget, output and update gates and the previous cell ``c`` (..., d),
+    write the gate values into ``gates``, ``c_t`` into ``cell`` and
+    ``tanh(c_t)`` into ``tc``, and return ``h_t``."""
+    d = c.shape[-1]
+    gates[..., :3 * d] = _sigmoid(a[..., :3 * d])
+    gates[..., 3 * d:] = np.tanh(a[..., 3 * d:])
+    np.add(gates[..., d:2 * d] * c, gates[..., :d] * gates[..., 3 * d:], out=cell)
+    np.tanh(cell, out=tc)
+    return gates[..., 2 * d:3 * d] * tc
+
+
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor:
     """T LSTM steps over the rows of ``x`` (T, n) from the states ``h0`` and
     ``c0`` (d,), as one traced op; returns the (T + 1, d) matrix
@@ -704,17 +747,12 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
     each step adds one product with the stacked U.
     """
     weights = tuple(weights)
-    if len(weights) != 12:
-        raise ShapeError(f"lstm: needs 12 weight tensors, got {len(weights)}")
+    w, u, b = _gate_stacks(weights)
     if x.data.ndim != 2 or x.data.shape[0] == 0 or h0.data.ndim != 1 \
             or c0.data.shape != h0.data.shape:
         raise ShapeError(f"lstm: inputs {x.shape} must be a non-empty 2-D matrix and "
                          f"hidden {h0.shape} and cell {c0.shape} equal 1-D shapes")
     steps, d = x.data.shape[0], h0.data.size
-    stacks = w, u, b = weights[0].data.base, weights[1].data.base, weights[2].data.base
-    for k, t in enumerate(weights):
-        if stacks[k % 3] is None or t.data.base is not stacks[k % 3]:
-            raise ShapeError("lstm: gate weights are not bound by bind_lstm_gates")
     pre = x.data @ w.T + b
     gates = np.empty((steps, 4 * d))
     cells = np.empty((steps + 1, d))
@@ -723,15 +761,33 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
     cells[0] = c0.data
     h = h0.data
     for t in range(steps):
-        a = pre[t] + u @ h
-        gate = gates[t]
-        gate[:3 * d] = _sigmoid(a[:3 * d])
-        gate[3 * d:] = np.tanh(a[3 * d:])
-        cells[t + 1] = gate[d:2 * d] * cells[t] + gate[:d] * gate[3 * d:]
-        tc[t] = np.tanh(cells[t + 1])
-        h = data[t] = gate[2 * d:3 * d] * tc[t]
+        h = data[t] = _lstm_cell(pre[t] + u @ h, cells[t], gates[t], cells[t + 1], tc[t])
     data[steps] = cells[steps]
     return _result(data, (x, h0, c0) + weights, _lstm_bw, (gates, cells, tc))
+
+
+def lstm_rows(x: Tensor, h: Tensor, c: Tensor,
+              weights: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """One LSTM step for each of B independent rows: inputs ``x`` (B, n) and
+    states ``h`` and ``c`` (B, d), by the gate arithmetic of ``lstm``;
+    returns the next ``(h, c)``, each (B, d).
+
+    For one row the floats equal those of a one-step ``lstm``. The op has no
+    backward, so it records nothing, and it refuses to run where a gradient
+    would be recorded: call it inside ``no_grad()``.
+    """
+    weights = tuple(weights)
+    w, u, b = _gate_stacks(weights)
+    if _GRAD_ENABLED and any(t.requires_grad for t in (x, h, c) + weights):
+        raise RuntimeError("lstm_rows records no gradient; call it inside no_grad()")
+    if x.data.ndim != 2 or h.data.ndim != 2 or c.data.shape != h.data.shape \
+            or x.data.shape[0] != h.data.shape[0]:
+        raise ShapeError(f"lstm_rows: inputs {x.shape}, hidden {h.shape} and cell "
+                         f"{c.shape} must be matrices with one row per state")
+    gates = np.empty((h.data.shape[0], 4 * h.data.shape[1]))
+    cell, tc = np.empty_like(c.data), np.empty_like(c.data)
+    hidden = _lstm_cell(x.data @ w.T + b + h.data @ u.T, c.data, gates, cell, tc)
+    return Tensor(hidden), Tensor(cell)
 
 
 def _ids(values) -> np.ndarray:

@@ -30,7 +30,7 @@ from .params import load_checkpoint, save_checkpoint
 from .parsers import ParseError, parse_lambda, parse_sql
 from .trees import TreeError, get_grammar, tree_stats
 from .training import (TrainConfig, build_model, config_from_text, config_to_text,
-                       encoded_examples, greedy_candidates, train)
+                       encoded_chunks, greedy_candidates, train)
 
 MANIFEST_VERSION = 1
 
@@ -197,7 +197,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.store, run_dir / "checkpoint.bin")
     finish_manifest(manifest_path, EXIT_NUMERIC if result.aborted else EXIT_OK)
     if result.aborted:
-        print("training aborted on non-finite loss; last good parameters kept",
+        print(f"training aborted: {result.abort_reason}; last good parameters kept",
               file=sys.stderr)
         return EXIT_NUMERIC
     last = result.history[-1] if result.history else {}
@@ -252,14 +252,17 @@ def cmd_generate(args) -> int:
     store.load_snapshot(params)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
-        for i, (ex, enc) in enumerate(encoded_examples(examples, encoder)):
-            trace: list | None = [] if trace_fh else None
-            tokens = decoder.decode_greedy(enc, ex.tree, max_len=args.max_len, trace=trace)
-            print(" ".join(tokens))
-            if trace_fh:
+        start = 0
+        for chunk in encoded_chunks(examples, encoder):
+            traces = [[] for _ in chunk] if trace_fh else None
+            outputs = decoder.decode_greedy_batch([(enc, ex.tree) for ex, enc in chunk],
+                                                  max_len=args.max_len, traces=traces)
+            print("\n".join(" ".join(tokens) for tokens in outputs))
+            for i, trace in enumerate(traces or (), start=start):
                 for entry in trace:
                     entry["example"] = i
                     trace_fh.write(json.dumps(entry) + "\n")
+            start += len(chunk)
     finally:
         if trace_fh:
             trace_fh.close()

@@ -15,15 +15,25 @@ Attention and the three heads are written once for a hidden state of shape
 (d,) or a (T, d) matrix of them (``heads``). Decoding chooses each step's
 input from the last step's output, so it runs ``step`` in one loop,
 ``_rollout``, which records nothing and serves greedy and sampled decoding
-through an argmax or a Gumbel-Max chooser. Wherever every input of every
-step is known up front, ``teacher_forced`` runs the LSTM over all T
-positions as one op and the heads once over the T rows. It scores a target
-for the likelihood, and ``score_trajectory`` reads the traced
-log-probabilities of a sampled trajectory off it for the policy gradient.
+through an argmax or a Gumbel-Max chooser. The loop decodes a chunk of
+trees in lockstep: each ``step`` runs one LSTM cell over the (rows, d)
+states of the trees still decoding and the heads once over those rows. The
+rows share the chunk's concatenated node matrix; per-row masks keep each
+row's attention and copying to its own tree's nodes, and each row has its
+own decay row and makes its own choices. A row stops at EOS or after
+``max_len`` steps and leaves the live rows. ``decode_greedy_batch`` decodes
+a chunk this way; ``decode_greedy`` and ``decode_sample`` are chunks of one
+tree, whose floats equal single-row decoding bit for bit. Wherever every
+input of every step is known up front, ``teacher_forced`` runs the LSTM
+over all T positions as one op and the heads once over the T rows. It
+scores a target for the likelihood, and ``score_trajectory`` reads the
+traced log-probabilities of a sampled trajectory off it for the policy
+gradient.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,10 +67,13 @@ class DecoderConfig:
 
 @dataclass
 class DecoderState:
+    """The state of one tree's decoding, or of a chunk of trees decoded in
+    lockstep: then every field has one row per tree, and ``decay`` spans
+    the columns of the chunk's node matrix."""
     step: int
-    hidden: Tensor
+    hidden: Tensor               # (d,), or (rows, d)
     cell: Tensor
-    decay: np.ndarray            # one value per tree node, each in [0, 1]
+    decay: np.ndarray            # one value per node, each in [0, 1]
 
 
 @dataclass
@@ -93,9 +106,13 @@ class Trajectory:
         return sum(s.logp_op + s.logp_word for s in self.steps)
 
 
-def decay_update(decay: np.ndarray, copied_node: int | None, factor: float) -> np.ndarray:
+def decay_update(decay: np.ndarray, copied_node, factor: float) -> np.ndarray:
     """Scale every node's decay by ``factor``; the node copied this step (if
-    any) is then reset to 1. Never-copied nodes stay at 0 forever."""
+    any) is then reset to 1. Never-copied nodes stay at 0 forever.
+
+    ``copied_node`` indexes ``decay``: a node of a vector, or (rows, nodes)
+    index arrays for a matrix with one row per tree; None when nothing was
+    copied."""
     if not 0.0 < factor < 1.0:
         raise ValueError(f"decay factor must lie in (0, 1), got {factor}")
     out = decay * factor
@@ -135,15 +152,23 @@ class TreeDecoder:
         x = ad.rows(self.embed, prev_token_ids)
         return ad.lstm(x, hidden, cell, self.lstm_weights)
 
-    def recurrence(self, hidden: Tensor, cell: Tensor, prev_token_id: int) -> tuple[Tensor, Tensor]:
-        """One LSTM cell over the embedding of the previously emitted token."""
+    def recurrence(self, hidden: Tensor, cell: Tensor,
+                   prev_token_id: int | Sequence[int]) -> tuple[Tensor, Tensor]:
+        """One LSTM cell over the embedding of the previously emitted token.
+        For (rows, d) states and one token id per row, one cell per row,
+        recording nothing (``autodiff.lstm_rows``)."""
+        if hidden.data.ndim == 2:
+            return ad.lstm_rows(ad.rows(self.embed, prev_token_id), hidden, cell,
+                                self.lstm_weights)
         state = self._lstm(hidden, cell, [prev_token_id])
         return ad.row(state, 0), ad.row(state, 1)
 
-    def attend(self, hidden: Tensor, node_matrix: Tensor) -> tuple[Tensor, Tensor]:
+    def attend(self, hidden: Tensor, node_matrix: Tensor,
+               own: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Dot-product attention over node states; returns (weights, vector),
-        one row each per row of ``hidden``."""
-        weights = ad.softmax(ad.linear(hidden, node_matrix))
+        one row each per row of ``hidden``. ``own``, when given, holds one
+        mask row per row of ``hidden``: the nodes that row attends over."""
+        weights = ad.softmax(ad.linear(hidden, node_matrix), keep=own)
         pooled = ad.matmul(weights, node_matrix)
         vector = ad.tanh(ad.linear(ad.concat([pooled, hidden]), self.attn_w))
         return weights, vector
@@ -168,11 +193,13 @@ class TreeDecoder:
                           keep: np.ndarray, decay: np.ndarray) -> Tensor | None:
         """Masked softmax of node scores, damped by (1 - decay), renormalized.
 
-        ``decay`` has one row per row of ``attn_vector``. The damped rows are
-        renormalized so training sees a true distribution (argmax decoding
-        is unaffected by the rescaling); a row every node of which is masked
-        or fully decayed is all zero. Returns None when that holds for every
-        row; callers must then force the generate branch.
+        ``decay`` has one row per row of ``attn_vector``, and ``keep`` is
+        one mask shared by every row or one mask row per row. The damped rows
+        are renormalized so training sees a true distribution (argmax
+        decoding is unaffected by the rescaling); a row every node of which
+        is masked or fully decayed is all zero, and callers must force the
+        generate branch there. Returns None when nothing is kept, or when
+        every row is fully decayed.
         """
         if not keep.any():
             return None
@@ -183,11 +210,13 @@ class TreeDecoder:
         return None if dead.all() else damped
 
     def heads(self, hidden: Tensor, node_matrix: Tensor, keep: np.ndarray,
-              decay: np.ndarray) -> StepOutput:
+              decay: np.ndarray, own: np.ndarray | None = None) -> StepOutput:
         """Attention and the three distributions for a hidden state (d,) and
         its decay (nodes,), or for a (T, d) matrix of them and a (T, nodes)
-        decay matrix."""
-        weights, vector = self.attend(hidden, node_matrix)
+        decay matrix. Rows of different trees share the columns of one node
+        matrix through per-row masks: ``own`` says which nodes each row
+        attends over, and ``keep`` which it may copy."""
+        weights, vector = self.attend(hidden, node_matrix, own)
         gen_probs = self.generation_distribution(vector)
         if self.config.generate_only:
             op_probs, copy_probs = None, None
@@ -197,12 +226,16 @@ class TreeDecoder:
         return StepOutput(attn_weights=weights, attn_vector=vector, op_probs=op_probs,
                           gen_probs=gen_probs, copy_probs=copy_probs)
 
-    def step(self, state: DecoderState, node_matrix: Tensor,
-             keep: np.ndarray, prev_token_id: int) -> tuple[DecoderState, StepOutput]:
+    def step(self, state: DecoderState, node_matrix: Tensor, keep: np.ndarray,
+             prev_token_id: int | Sequence[int],
+             own: np.ndarray | None = None) -> tuple[DecoderState, StepOutput]:
+        """One decoding step of one tree, or of every row of a lockstep state
+        (then one token id per row, and ``keep`` and ``own`` as ``heads``
+        takes them; recording nothing)."""
         hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
         new_state = DecoderState(step=state.step + 1, hidden=hidden, cell=cell,
                                  decay=state.decay)
-        return new_state, self.heads(hidden, node_matrix, keep, state.decay)
+        return new_state, self.heads(hidden, node_matrix, keep, state.decay, own)
 
     def teacher_forced(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                        prev_token_ids: list[int], decay: np.ndarray) -> StepOutput:
@@ -259,9 +292,11 @@ class TreeDecoder:
 
     # decoding -------------------------------------------------------------------
 
-    def _advance_decay(self, state: DecoderState, copied_node: int | None) -> None:
+    def _advance_decay(self, state: DecoderState, copied) -> None:
+        """Advance the decay after a step; ``copied`` indexes the copied
+        nodes as ``decay_update`` takes them, or is None."""
         if self.config.use_decay and not self.config.generate_only:
-            state.decay = decay_update(state.decay, copied_node, self.config.decay_factor)
+            state.decay = decay_update(state.decay, copied, self.config.decay_factor)
 
     def _max_len(self, max_len: int | None) -> int:
         if max_len is None:
@@ -273,51 +308,113 @@ class TreeDecoder:
     def _prev_id(self, token: str | None) -> int:
         return BOS if token is None else self.vocab.id_of(token)
 
-    def _rollout(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
+    def _choose(self, out: StepOutput, r: int, feasible: bool,
+                choose: Callable[[np.ndarray], int], tree: TokenTypeTree,
+                offset: int) -> tuple[TrajectoryStep, int]:
+        """Row ``r``'s action at a step whose node columns for ``tree`` start
+        at ``offset``: the operation where copying is ``feasible`` (else
+        generate, with log-probability 0), then the node or word. Returns
+        the record and the chosen column."""
+        if feasible:
+            op = choose(out.op_probs.data[r])
+            logp_op = float(np.log(out.op_probs.data[r, op]))
+        else:
+            op, logp_op = OP_GEN, 0.0
+        probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data[r]
+        column = choose(probs)
+        if op == OP_COPY:
+            choice = column - offset
+            emitted = node_surface(tree.node(choice).tokens)
+        else:
+            choice = column
+            emitted = () if choice == EOS else (self.vocab.token_of(choice),)
+        return TrajectoryStep(action=op, choice=choice, tokens=emitted, logp_op=logp_op,
+                              logp_word=float(np.log(probs[column]))), column
+
+    def _rollout(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
                  choose: Callable[[np.ndarray], int], max_len: int | None,
-                 trace: list | None = None) -> Trajectory:
-        """Decode without recording any op. At each step ``choose`` picks the
-        operation from its probabilities where copying is feasible, then the
-        node or the word; decoding stops at EOS or after ``max_len`` steps.
-        ``trace``, when given, collects one entry per step."""
+                 traces: Sequence[list] | None = None) -> list[Trajectory]:
+        """Decode every (encoder output, tree) pair in lockstep, recording no
+        op. Row i of each step is tree i's: it attends over and copies from
+        its own block of the chunk's concatenated node matrix, and keeps its
+        own decay row. ``choose`` picks each row's operation from its
+        probabilities where copying is feasible, then the node or word. A
+        row stops at EOS or after ``max_len`` steps and leaves the live
+        rows. ``traces``, when given, collects one entry per step and tree.
+        """
         max_len = self._max_len(max_len)
-        steps: list[TrajectoryStep] = []
-        tokens: list[str] = []
+        if not encoded:
+            return []
+        trees = [tree for _, tree in encoded]
+        offsets = [0, *itertools.accumulate(len(tree) for tree in trees)]
+        own = np.zeros((len(trees), offsets[-1]), dtype=bool)
+        keep = np.zeros_like(own)
+        for i, tree in enumerate(trees):
+            own[i, offsets[i]:offsets[i + 1]] = True
+            keep[i, offsets[i]:offsets[i + 1]] = self.copy_keep_mask(tree)
+        results = [Trajectory(steps=[], tokens=[]) for _ in trees]
+        live = list(range(len(trees)))  # the tree of each state row
+        prev = [BOS] * len(trees)
         with ad.no_grad():
-            node_matrix = encoder_output.hidden
-            keep = self.copy_keep_mask(tree)
-            state = self.initial_state(encoder_output, tree)
-            prev: str | None = None
+            node_matrix = Tensor(np.vstack([enc.hidden.data for enc, _ in encoded]))
+            state = DecoderState(
+                step=1, hidden=Tensor(np.stack([enc.root_hidden.data for enc, _ in encoded])),
+                cell=Tensor(np.zeros((len(trees), self.config.hidden_size))),
+                decay=np.zeros(own.shape))
             for _ in range(max_len):
-                state, out = self.step(state, node_matrix, keep, self._prev_id(prev))
-                if self.config.generate_only or out.copy_probs is None:
-                    op, logp_op = OP_GEN, 0.0
+                if len(trees) == 1:
+                    # a lone tree owns every node: the one-tree step, whose
+                    # copy distribution is None wherever copying is infeasible
+                    state, out = self.step(state, node_matrix, keep[0], prev)
+                    feasible = [out.copy_probs is not None]
                 else:
-                    op = choose(out.op_probs.data)
-                    logp_op = float(np.log(out.op_probs.data[op]))
-                probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data
-                choice = choose(probs)
-                if op == OP_COPY:
-                    emitted = node_surface(tree.node(choice).tokens)
-                else:
-                    emitted = () if choice == EOS else (self.vocab.token_of(choice),)
-                rec = TrajectoryStep(action=op, choice=choice, tokens=emitted,
-                                     logp_op=logp_op,
-                                     logp_word=float(np.log(probs[choice])))
-                steps.append(rec)
-                if trace is not None:
-                    trace.append(_trace_entry(state.step - 1, out, rec, state.decay))
-                if op == OP_GEN and choice == EOS:
+                    state, out = self.step(state, node_matrix, keep, prev, own)
+                    feasible = np.zeros(len(live), dtype=bool) if out.copy_probs is None \
+                        else out.copy_probs.data.any(axis=1)
+                going, prev, copied_rows, copied_nodes = [], [], [], []
+                for r, i in enumerate(live):
+                    rec, column = self._choose(out, r, feasible[r], choose, trees[i],
+                                               offsets[i])
+                    results[i].steps.append(rec)
+                    if traces is not None:
+                        block = slice(offsets[i], offsets[i + 1])
+                        traces[i].append(_trace_entry(
+                            state.step - 1, out.attn_weights.data[r, block],
+                            None if out.op_probs is None else out.op_probs.data[r],
+                            rec, state.decay[r, block]))
+                    if rec.action == OP_GEN and rec.choice == EOS:
+                        continue
+                    results[i].tokens.extend(rec.tokens)
+                    prev.append(self._prev_id(rec.tokens[-1]))
+                    if rec.action == OP_COPY:
+                        copied_rows.append(len(going))
+                        copied_nodes.append(column)
+                    going.append(r)
+                if not going:
                     break
-                tokens.extend(emitted)
-                prev = emitted[-1]
-                self._advance_decay(state, choice if op == OP_COPY else None)
-        return Trajectory(steps=steps, tokens=tokens)
+                if len(going) < len(live):
+                    live = [live[r] for r in going]
+                    keep, own = keep[going], own[going]
+                    state.hidden = Tensor(state.hidden.data[going])
+                    state.cell = Tensor(state.cell.data[going])
+                    state.decay = state.decay[going]
+                self._advance_decay(state, (copied_rows, copied_nodes) if copied_rows else None)
+        return results
 
     def decode_greedy(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       max_len: int | None = None, trace: list | None = None) -> list[str]:
         """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
-        return self._rollout(encoder_output, tree, _argmax, max_len, trace).tokens
+        return self.decode_greedy_batch([(encoder_output, tree)], max_len,
+                                        None if trace is None else [trace])[0]
+
+    def decode_greedy_batch(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
+                            max_len: int | None = None,
+                            traces: Sequence[list] | None = None) -> list[list[str]]:
+        """``decode_greedy`` of every (encoder output, tree) pair, decoded in
+        lockstep; ``traces``, when given, holds one list per pair. Each
+        output is the single-tree output up to summation order: a near-tie
+        in an argmax may break the other way."""
+        return [t.tokens for t in self._rollout(encoded, _argmax, max_len, traces)]
 
     def decode_sample(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       rng: np.random.Generator, max_len: int | None = None) -> Trajectory:
@@ -328,12 +425,12 @@ class TreeDecoder:
         word as floats; their sum is the log of the trajectory's joint
         probability. ``score_trajectory`` gives them traced.
         """
-        return self._rollout(encoder_output, tree, lambda probs: _gumbel_pick(probs, rng),
-                             max_len)
+        return self._rollout([(encoder_output, tree)],
+                             lambda probs: _gumbel_pick(probs, rng), max_len)[0]
 
 
 def _argmax(probs: np.ndarray) -> int:
-    return int(np.argmax(probs))
+    return int(probs.argmax())
 
 
 def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -344,14 +441,14 @@ def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.argmax(logits + rng.gumbel(size=probs.shape)))
 
 
-def _trace_entry(step: int, out: StepOutput, rec: TrajectoryStep,
-                 decay: np.ndarray) -> dict:
+def _trace_entry(step: int, attention: np.ndarray, op_probs: np.ndarray | None,
+                 rec: TrajectoryStep, decay: np.ndarray) -> dict:
+    """One tree's step, over its own nodes."""
     copied = rec.action == OP_COPY
     return {
         "step": step,
-        "attention": [round(float(a), 6) for a in out.attn_weights.data],
-        "op_probs": None if out.op_probs is None
-                    else [float(p) for p in out.op_probs.data],
+        "attention": [round(float(a), 6) for a in attention],
+        "op_probs": None if op_probs is None else [float(p) for p in op_probs],
         "action": "copy" if copied else "generate",
         "node": rec.choice if copied else None,
         "word": None if copied else rec.choice,

@@ -42,6 +42,12 @@ log = logging.getLogger(__name__)
 # batch still trains, large enough to surface in any loss curve
 GUARD_LOGP = math.log(1e-300)
 
+# a step in which more than this share of the likelihood's target units took
+# the guard aborts training: the model has collapsed onto assigning them
+# nothing. A corpus the lint passes never guards; the 50%-OOV corpora under a
+# generate-only model guard at most about 15% of a batch's units.
+GUARD_ABORT_SHARE = 0.5
+
 REWARD_METRICS = ("bleu4", "rougeL")
 
 # trees per encoder op when evaluating: enough to amortize the op, few
@@ -262,11 +268,14 @@ def _unit_probabilities(units: Sequence[TargetUnit], out: StepOutput) -> Tensor:
 
 
 def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
-             encoded: EncoderOutput | None = None) -> Tensor:
+             encoded: EncoderOutput | None = None, counts: dict | None = None) -> Tensor:
     """Negative log-likelihood of the comment (plus its end-of-sequence stop)
     under teacher forcing with marginalized operation selection.
 
-    ``encoded`` is the example's encoding when the caller already has it."""
+    ``encoded`` is the example's encoding when the caller already has it.
+    ``counts``, when given, receives the number of target ``units`` and of
+    ``guards``, the units no action can produce, which took the loss
+    guard."""
     tree = example.tree
     enc = encoder.encode(tree) if encoded is None else encoded
     units = segment_target(example.comment, tree, decoder)
@@ -280,6 +289,8 @@ def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
         probs = ad.take(probs, np.flatnonzero(scored))
     total = ad.sumall(ad.log(probs))
     guards = len(units) - int(scored.sum())
+    if counts is not None:
+        counts.update(units=len(units), guards=guards)
     if guards:
         total = ad.add(total, Tensor(np.asarray(guards * GUARD_LOGP)))
     return ad.mul(total, -1.0)
@@ -353,14 +364,17 @@ def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
                encoded: EncoderOutput | None = None) -> tuple[Tensor, dict]:
     """The step's mix of likelihood and REINFORCE surrogate for one example.
     ``encoded`` is the example's encoding when the caller already has it;
-    one encoding serves both objectives."""
+    one encoding serves both objectives. ``parts`` reports each objective's
+    value and, where the likelihood was computed, its target ``units`` and
+    loss ``guards`` (see ``mle_loss``); an absent objective reads None."""
     mu = mle_weight(step, cfg.total_steps, cfg.mle_only)
     metric = reward_function(cfg.reward_metric)
-    parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None}
+    parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None,
+                   "units": None, "guards": None}
     if encoded is None:
         encoded = encoder.encode(example.tree)
     if mu == 1.0:
-        loss = mle_loss(example, encoder, decoder, encoded=encoded)
+        loss = mle_loss(example, encoder, decoder, encoded=encoded, counts=parts)
         parts["loss_mle"] = float(loss.data)
         return loss, parts
     surrogate, reward = hrl_loss(example, encoder, decoder, rng, metric, baseline.value,
@@ -369,28 +383,29 @@ def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
     parts["reward"] = reward
     if mu == 0.0:
         return surrogate, parts
-    likelihood = mle_loss(example, encoder, decoder, encoded=encoded)
+    likelihood = mle_loss(example, encoder, decoder, encoded=encoded, counts=parts)
     parts["loss_mle"] = float(likelihood.data)
     return ad.add(ad.mul(likelihood, mu), ad.mul(surrogate, 1.0 - mu)), parts
 
 
 # --- evaluation helpers ---------------------------------------------------------
 
-def encoded_examples(examples: Sequence[Example],
-                     encoder: TreeEncoder) -> Iterator[tuple[Example, EncoderOutput]]:
-    """Each example with its encoding, made without recording, ``EVAL_BATCH``
-    trees per encoder op."""
+def encoded_chunks(examples: Sequence[Example], encoder: TreeEncoder
+                   ) -> Iterator[list[tuple[Example, EncoderOutput]]]:
+    """The examples in chunks of ``EVAL_BATCH``, each example with its
+    encoding, made without recording, one encoder op per chunk."""
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
         with ad.no_grad():
             encoded = encoder.encode_batch([ex.tree for ex in chunk])
-        yield from zip(chunk, encoded)
+        yield list(zip(chunk, encoded))
 
 
 def greedy_candidates(examples: Sequence[Example], encoder: TreeEncoder,
                       decoder: TreeDecoder) -> list[list[str]]:
-    return [decoder.decode_greedy(enc, ex.tree)
-            for ex, enc in encoded_examples(examples, encoder)]
+    """Greedy output per example, each chunk decoded in lockstep."""
+    return [tokens for chunk in encoded_chunks(examples, encoder)
+            for tokens in decoder.decode_greedy_batch([(enc, ex.tree) for ex, enc in chunk])]
 
 
 def token_accuracy(examples: Sequence[Example], candidates: Sequence[Sequence[str]]) -> float:
@@ -421,7 +436,11 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_params: dict | None = None
     best_score: float = float("-inf")
-    aborted: bool = False
+    abort_reason: str | None = None  # why training stopped early, if it did
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def build_model(cfg: TrainConfig, grammar_name: str, source_vocab: Vocab,
@@ -448,8 +467,11 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
     """Run the full objective schedule; deterministic under a fixed seed.
 
     Evaluates greedily on the dev set every ``eval_every`` steps, retains the
-    best-dev parameter snapshot, and aborts (preserving the last finite
-    parameters) if the loss goes non-finite.
+    best-dev parameter snapshot, and aborts, restoring the parameters of the
+    last evaluation (or the initial ones), when a step's loss is non-finite
+    or when more than ``GUARD_ABORT_SHARE`` of the step's likelihood units
+    took the loss guard: the model then assigns those targets nothing, and a
+    guarded unit has no gradient to recover with.
     """
     cfg.validate()
     if not train_examples:
@@ -494,6 +516,7 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
                 break
             total: Tensor | None = None
             mle_vals, hrl_vals, rewards = [], [], []
+            units = guards = 0
             # one encoder op for the whole batch
             encoded = encoder.encode_batch([ex.tree for ex in batch.examples])
             for ex, enc in zip(batch.examples, encoded):
@@ -506,12 +529,19 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
                     hrl_vals.append(parts["loss_hrl"])
                 if parts["reward"] is not None:
                     rewards.append(parts["reward"])
+                if parts["units"] is not None:
+                    units += parts["units"]
+                    guards += parts["guards"]
             batch_loss = ad.mul(total, 1.0 / len(batch.examples))
             if not np.isfinite(batch_loss.data):
-                log.error("non-finite loss at step %d; aborting with last good "
-                          "parameters", step)
+                result.abort_reason = "non-finite loss"
+            elif guards > GUARD_ABORT_SHARE * units:
+                result.abort_reason = (f"{guards} of {units} likelihood units took "
+                                       f"the loss guard")
+            if result.aborted:
+                log.error("%s at step %d; aborting with last good parameters",
+                          result.abort_reason, step)
                 store.load_snapshot(last_good)
-                result.aborted = True
                 break
             batch_loss.backward()
             if cfg.grad_clip is not None:

@@ -40,6 +40,44 @@ class TestPrimitivesForward:
         with pytest.raises(ShapeError):
             ad.softmax(Tensor([1.0, 2.0]), keep=np.array([False, False]))
 
+    def test_per_row_masked_softmax(self):
+        x = np.random.default_rng(4).normal(size=(3, 12))
+        keep = np.ones((3, 12), dtype=bool)
+        keep[0, [1, 4, 5, 9]] = False
+        keep[1] = False
+        out = ad.softmax(Tensor(x), keep=keep).data
+        # each row is its own shared-mask softmax, up to summation order
+        for r in (0, 2):
+            shared = ad.softmax(Tensor(x[r]), keep=keep[r]).data
+            assert np.allclose(out[r], shared, rtol=0.0, atol=1e-15)
+            assert np.array_equal(out[r] == 0.0, ~keep[r])
+        assert not out[1].any()  # a row that keeps nothing is all zero
+        # one row gives the shared mask's floats exactly
+        one = ad.softmax(Tensor(x[:1]), keep=keep[:1]).data
+        assert np.array_equal(one[0], ad.softmax(Tensor(x[0]), keep=keep[0]).data)
+        with pytest.raises(ShapeError):
+            ad.softmax(Tensor(x), keep=keep[:2])
+
+    def test_lstm_rows_equals_one_step_lstm_per_row(self):
+        p = op_params()
+        weights = lstm_weights(p)
+        rng = np.random.default_rng(5)
+        x, h, c = (Tensor(rng.normal(size=(3, 4))) for _ in range(3))
+        with ad.no_grad():
+            hs, cs = ad.lstm_rows(x, h, c, weights)
+            for r in range(3):
+                state = ad.lstm(Tensor(x.data[r:r + 1]), Tensor(h.data[r]),
+                                Tensor(c.data[r]), weights).data
+                assert np.allclose(hs.data[r], state[0], rtol=0.0, atol=1e-15)
+                assert np.allclose(cs.data[r], state[1], rtol=0.0, atol=1e-15)
+                # one row is the one-step op's floats exactly
+                h1, c1 = ad.lstm_rows(Tensor(x.data[r:r + 1]), Tensor(h.data[r:r + 1]),
+                                      Tensor(c.data[r:r + 1]), weights)
+                assert np.array_equal(h1.data[0], state[0])
+                assert np.array_equal(c1.data[0], state[1])
+        with pytest.raises(RuntimeError, match="no_grad"):
+            ad.lstm_rows(x, h, c, weights)  # the weights require gradients
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ad.log(Tensor([1.0, 0.0]))
@@ -405,6 +443,10 @@ OP_LOSSES = {
     "softmax_rows": lambda p: weighted(ad.softmax(p["m"])),
     "softmax_rows_masked": lambda p: weighted(
         ad.softmax(p["m"], keep=np.array([True, False, True, True]))),
+    "softmax_rows_masked_per_row": lambda p: weighted(
+        ad.softmax(p["m"], keep=np.array([[True, False, True, True],
+                                          [False, False, False, False],
+                                          [False, True, True, False]]))),
     "pick": lambda p: weighted(ad.pick(p["m"], [0, 2, 2, 0], [1, 3, 0, 1])),
     "damp_vector": lambda p: weighted(ad.damp(p["pos"], DAMP_ROWS[0])[0]),
     "damp_rows": lambda p: weighted(ad.damp(p["pm"], DAMP_ROWS)[0]),

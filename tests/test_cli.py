@@ -142,6 +142,23 @@ class TestTrainGenerateEvaluate:
         assert manifest["finished_at"] is not None
         assert (manifest["status"], manifest["exit_code"]) == ("aborted", 3)
 
+    def test_collapsed_run_exits_three_and_says_so(self, tmp_path, capsys):
+        # after one step at learning rate 1e300 every gate saturates: most
+        # target units get probability exactly 0 and take the finite loss
+        # guard, so the loss never turns non-finite
+        corpus = tmp_path / "corpus32.jsonl"
+        save_corpus_jsonl(generate_synthetic(32, seed=1), corpus, "sql")
+        run_dir = tmp_path / "run"
+        code, _, err = run(train_args(corpus, run_dir, ["--set", "batch_size=8",
+                                                        "--set", "learning_rate=1e300"]),
+                           capsys)
+        assert code == 3, err
+        assert "likelihood units took the loss guard" in err
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["exit_code"]) == ("aborted", 3)
+        # the first, healthy step is logged; the collapsed one is not
+        assert len((run_dir / "log.csv").read_text().splitlines()) == 2
+
     def test_generate_and_trace(self, tmp_path, corpus_path, capsys):
         run_dir = tmp_path / "run"
         assert run(train_args(corpus_path, run_dir), capsys)[0] == 0

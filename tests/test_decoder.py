@@ -567,3 +567,82 @@ class TestScoreTrajectory:
         if not flags.get("generate_only"):
             expected |= {"long_copy", "short_copy", "chosen"}
         assert all(seen[key] for key in expected), seen
+
+
+class TestLockstep:
+    """``decode_greedy_batch`` decodes a chunk of trees in lockstep over one
+    node matrix; each row must decode as its tree does alone."""
+
+    FLAGS = [{}, {"generate_only": True}, {"use_mask": False}, {"use_decay": False},
+             {"untyped": True}]
+    IDS = ["default", "generate_only", "no_mask", "no_decay", "untyped"]
+
+    @staticmethod
+    def chunk(rng):
+        nothing = TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                                grammar="wikisql")  # nothing copyable under the mask
+        return [parse_sql("SELECT col FROM t WHERE a = 'Two Words'"), nothing] + \
+            [random_tree(rng) for _ in range(10)]
+
+    @staticmethod
+    def model(flags):
+        _, encoder, decoder = make_model(seed=0, **flags)
+        # a random end-of-sequence row, so rows end at different steps
+        decoder.gen_w.data[EOS] = 2.0 * np.random.default_rng(50).normal(
+            size=decoder.gen_w.data.shape[1])
+        return encoder, decoder
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=IDS)
+    def test_chunk_equals_single_trees(self, flags):
+        encoder, decoder = self.model(flags)
+        trees = self.chunk(np.random.default_rng(0))
+        encoded = list(zip(encoder.encode_batch(trees), trees))
+        traces = [[] for _ in trees]
+        outputs = decoder.decode_greedy_batch(encoded, max_len=8, traces=traces)
+        ends = set()
+        for (enc, tree), tokens, trace in zip(encoded, outputs, traces):
+            alone = []
+            assert tokens == decoder.decode_greedy(enc, tree, max_len=8, trace=alone)
+            assert len(trace) == len(alone)
+            for got, want in zip(trace, alone):
+                assert {k: got[k] for k in ("step", "action", "node", "word", "emitted")} \
+                    == {k: want[k] for k in ("step", "action", "node", "word", "emitted")}
+                for key in ("attention", "decay", "op_probs"):
+                    if want[key] is None:
+                        assert got[key] is None
+                    else:
+                        assert len(got[key]) == len(want[key]) == \
+                            (2 if key == "op_probs" else len(tree))
+                        assert np.allclose(got[key], want[key], rtol=0.0, atol=1e-12), key
+            last = trace[-1]
+            ends.add(last["step"] if last["word"] == EOS and last["action"] == "generate"
+                     else "max_len")
+        assert "max_len" in ends and len(ends) >= 3  # two EOS steps, and truncation
+        copies = sum(e["action"] == "copy" for trace in traces for e in trace)
+        assert (copies == 0) == bool(flags.get("generate_only"))
+        # the tree with nothing copyable generates at every step
+        assert all(e["action"] == "generate" for e in traces[1]) or flags.get("use_mask") is False
+
+    def test_one_tree_reproduces_single_steps_exactly(self):
+        encoder, decoder = self.model({})
+        for tree in self.chunk(np.random.default_rng(1)):
+            enc = encoder.encode(tree)
+            trace = []
+            decoder.decode_greedy(enc, tree, max_len=8, trace=trace)
+            keep = decoder.copy_keep_mask(tree)
+            state = decoder.initial_state(enc, tree)
+            prev = BOS
+            for entry in trace:
+                state, out = decoder.step(state, enc.hidden, keep, prev)
+                assert entry["op_probs"] == [float(p) for p in out.op_probs.data]
+                assert entry["decay"] == [round(float(x), 6) for x in state.decay]
+                if entry["emitted"]:
+                    prev = decoder.vocab.id_of(entry["emitted"][-1])
+                decoder._advance_decay(state, entry["node"])
+
+    def test_empty_chunk_and_max_len(self):
+        encoder, decoder = self.model({})
+        assert decoder.decode_greedy_batch([]) == []
+        tree = parse_sql("SELECT col FROM t")
+        with pytest.raises(ValueError, match="max_len"):
+            decoder.decode_greedy_batch([(encoder.encode(tree), tree)], max_len=0)

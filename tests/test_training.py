@@ -606,6 +606,34 @@ class TestTrainLoop:
         last = result.history[-1]["loss_mle"]
         assert last < first
 
+    @pytest.mark.parametrize("flags", [{}, {"generate_only": True}, {"no_mask": True},
+                                       {"no_decay": True}, {"no_type_assoc": True}],
+                             ids=["default", "generate_only", "no_mask", "no_decay",
+                                  "untyped"])
+    def test_greedy_candidates_equal_single_tree_decoding(self, flags):
+        # 40 examples: a full chunk of EVAL_BATCH decoded in lockstep, then 8
+        examples = self.corpus(40, seed=9)
+        cfg = TrainConfig(hidden_size=8, total_steps=6, batch_size=8, seed=4,
+                          mle_only=True, min_freq_source=1, min_freq_target=1,
+                          eval_every=6, max_decode_len=10, **flags)
+        result = train(examples, [], cfg)
+        encoder, decoder = result.encoder, result.decoder
+        single = [decoder.decode_greedy(encoder.encode(ex.tree), ex.tree) for ex in examples]
+        assert greedy_candidates(examples, encoder, decoder) == single
+
+    def test_mixed_loss_reports_guarded_units(self):
+        _, encoder, decoder = make_model(seed=41)
+        ex = Example(tree=parse_sql("SELECT col FROM t"), comment=("zzz-unseen", "col"))
+        for step, keys in ((0, ("loss_mle",)), (5, ("loss_mle", "loss_hrl"))):
+            _, parts = mixed_loss(ex, encoder, decoder, step,
+                                  TrainConfig(total_steps=10, hidden_size=6),
+                                  np.random.default_rng(0), Baseline())
+            assert all(parts[k] is not None for k in keys)
+            assert (parts["units"], parts["guards"]) == (3, 1)  # the OOV word guards
+        _, parts = mixed_loss(ex, encoder, decoder, 10, TrainConfig(total_steps=10),
+                              np.random.default_rng(0), Baseline())
+        assert parts["units"] is parts["guards"] is None  # no likelihood at mu = 0
+
     def test_non_finite_initial_params_abort_and_restore(self):
         examples = self.corpus(4, seed=5)
         cfg = TrainConfig(hidden_size=6, total_steps=3, batch_size=4, seed=2,
