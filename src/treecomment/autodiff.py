@@ -157,10 +157,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(data, name: str = "") -> Tensor:
-    return Tensor(data, requires_grad=False, name=name)
-
-
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], backward, ctx=None) -> Tensor:
     """Wrap ``data``; record ``inputs``, ``backward`` and ``ctx`` when traced.
 
@@ -240,10 +236,6 @@ def _dot_bw(out, g, parents):
     a, b = parents
     a._accumulate(g * b.data)
     b._accumulate(g * a.data)
-
-
-def _transpose_bw(out, g, parents):
-    parents[0]._accumulate(g.T)
 
 
 def _concat_bw(out, g, parents):
@@ -496,12 +488,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.asarray(a.data @ b.data), (a, b), _dot_bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need 2-D, got {a.shape}")
-    return _result(a.data.T.copy(), (a,), _transpose_bw)
-
-
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join vectors, or matrices with equal row counts, along the last axis."""
     parts = tuple(parts)
@@ -535,41 +521,30 @@ def tanh(x: Tensor) -> Tensor:
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis of a vector or of each row of a matrix.
 
-    ``keep`` is an optional boolean mask: entries where it is False get
-    probability exactly 0.0 and receive no gradient. This realizes additive
-    minus-infinity masking without NaN-producing arithmetic. A mask over the
-    last axis is shared by every row and must keep some entry. A matrix may
-    instead take one mask row per row, of its own shape; a row that keeps
-    nothing comes out all zero. Such a row's normalizer sums the masked
-    zeros too, so it may differ in the last bits from that of a shared mask
-    equal to the row.
+    ``keep`` is an optional boolean mask, of the last axis's shape (shared
+    by every row) or of the input's shape (one mask row per row). Entries
+    where it is False get probability exactly 0.0 and receive no gradient,
+    which realizes additive minus-infinity masking without NaN-producing
+    arithmetic. Either way the normalizer sums the whole row, masked zeros
+    included, so a row's floats do not depend on the mask's layout, and an
+    all-True mask gives the unmasked floats. A row that keeps nothing comes
+    out all zero; a 1-D mask must keep some entry.
     """
     if x.data.ndim not in (1, 2) or x.data.shape[-1] == 0:
         raise ShapeError(f"softmax: need a non-empty last axis on 1-D or 2-D input, "
                          f"got {x.shape}")
-    if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
     if keep is None:
-        kept = x.data
-        z = np.exp(kept - kept.max(axis=-1, keepdims=True))
-        y = z / z.sum(axis=-1, keepdims=True)
-    elif keep.ndim == 2:
-        if keep.shape != x.shape:
-            raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
-        m = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
-        z = np.exp(np.where(keep, x.data - m, -np.inf))  # a row that keeps nothing: 0
-        total = z.sum(axis=-1, keepdims=True)
-        y = np.divide(z, total, out=z, where=total > 0.0)
-    else:
-        if keep.shape != x.shape[-1:]:
-            raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
-        if not keep.any():
-            raise ShapeError("softmax: mask removes every entry")
-        y = np.zeros_like(x.data)
-        kept = x.data[..., keep]
-        z = np.exp(kept - kept.max(axis=-1, keepdims=True))
-        y[..., keep] = z / z.sum(axis=-1, keepdims=True)
-    return _result(y, (x,), _softmax_bw)
+        z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+        return _result(z / z.sum(axis=-1, keepdims=True), (x,), _softmax_bw)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape not in (x.shape, x.shape[-1:]):
+        raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
+    if keep.ndim == 1 and not keep.any():
+        raise ShapeError("softmax: mask removes every entry")
+    m = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+    z = np.exp(np.where(keep, x.data - m, -np.inf))  # a row that keeps nothing: 0
+    total = z.sum(axis=-1, keepdims=True)
+    return _result(np.divide(z, total, out=z, where=total > 0.0), (x,), _softmax_bw)
 
 
 def log(x: Tensor) -> Tensor:

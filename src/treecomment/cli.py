@@ -27,14 +27,18 @@ from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examp
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
                      source_token_stream, tokenize_comment)
 from .params import load_checkpoint, save_checkpoint
-from .parsers import ParseError, parse_lambda, parse_sql
-from .trees import TreeError, get_grammar, tree_stats
+from .parsers import parse_lambda, parse_sql
+from .trees import get_grammar, tree_stats
 from .training import (TrainConfig, build_model, config_from_text, config_to_text,
                        encoded_chunks, greedy_candidates, train)
 
 MANIFEST_VERSION = 1
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+
+# the failures a subcommand reports as bad data (exit 2); parse and tree
+# errors are value errors
+DATA_ERRORS = (ValueError, KeyError, OSError)
 
 CSV_COLUMNS = ("step", "mu", "loss_mle", "loss_hrl", "reward_mean",
                "dev_bleu4", "dev_rouge2", "dev_rougeL")
@@ -52,6 +56,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _override(text: str) -> tuple[str, str]:
+    key, sep, value = text.partition("=")
+    if not (key and sep):
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return key, value
 
 
 def _sha256(path: Path) -> str:
@@ -84,10 +95,10 @@ def write_manifest(run_dir: Path, command: str, config_text: str, seed: int,
 
 def finish_manifest(path: Path, exit_code: int) -> None:
     """Stamp the end time and the outcome: status ``ok`` for exit code 0,
-    ``aborted`` for any other."""
+    ``aborted`` for a numeric abort, ``error`` for any other."""
     manifest = json.loads(path.read_text())
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    manifest["status"] = "ok" if exit_code == EXIT_OK else "aborted"
+    manifest["status"] = {EXIT_OK: "ok", EXIT_NUMERIC: "aborted"}.get(exit_code, "error")
     manifest["exit_code"] = exit_code
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -157,7 +168,7 @@ def _load_train_config(args) -> TrainConfig:
         cfg = config_from_text(Path(args.config).read_text())
     else:
         cfg = TrainConfig()
-    overrides = dict(kv.split("=", 1) for kv in args.set or [])
+    overrides = dict(args.set or [])
     if overrides:
         merged = config_to_text(cfg).splitlines()
         text = "\n".join(line for line in merged
@@ -181,14 +192,18 @@ def cmd_train(args) -> int:
     manifest_path = write_manifest(run_dir, "train", config_text, cfg.seed, grammar, inputs)
 
     log_path = run_dir / "log.csv"
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+    try:
+        with open(log_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
 
-        def log_row(row: dict) -> None:
-            writer.writerow([_fmt(row.get(c)) for c in CSV_COLUMNS])
+            def log_row(row: dict) -> None:
+                writer.writerow([_fmt(row.get(c)) for c in CSV_COLUMNS])
 
-        result = train(train_examples, dev_examples, cfg, log_writer=log_row)
+            result = train(train_examples, dev_examples, cfg, log_writer=log_row)
+    except DATA_ERRORS:
+        finish_manifest(manifest_path, EXIT_DATA)
+        raise
 
     result.source_vocab.save(run_dir / "vocab.src.txt")
     result.target_vocab.save(run_dir / "vocab.tgt.txt")
@@ -328,7 +343,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dev")
     p.add_argument("--config")
     p.add_argument("--run-dir", required=True)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+    p.add_argument("--set", action="append", type=_override, metavar="KEY=VALUE",
                    help="override a config field (flags win)")
     p.set_defaults(func=cmd_train)
 
@@ -366,10 +381,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ParseError, TreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -23,12 +23,14 @@ row's attention and copying to its own tree's nodes, and each row has its
 own decay row and makes its own choices. A row stops at EOS or after
 ``max_len`` steps and leaves the live rows. ``decode_greedy_batch`` decodes
 a chunk this way; ``decode_greedy`` and ``decode_sample`` are chunks of one
-tree, whose floats equal single-row decoding bit for bit. Wherever every
-input of every step is known up front, ``teacher_forced`` runs the LSTM
-over all T positions as one op and the heads once over the T rows. It
-scores a target for the likelihood, and ``score_trajectory`` reads the
-traced log-probabilities of a sampled trajectory off it for the policy
-gradient.
+tree through the same step, which owns every node and so attends without a
+mask. The masked softmax normalizes a row the same way under a shared or a
+per-row mask, so a lone tree's floats equal single-tree decoding bit for
+bit. Wherever every input of every step is known up front,
+``teacher_forced`` runs the LSTM over all T positions as one op and the
+heads once over the T rows. It scores a target for the likelihood, and
+``score_trajectory`` reads the traced log-probabilities of a sampled
+trajectory off it for the policy gradient.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ class DecoderState:
     """The state of one tree's decoding, or of a chunk of trees decoded in
     lockstep: then every field has one row per tree, and ``decay`` spans
     the columns of the chunk's node matrix."""
-    step: int
     hidden: Tensor               # (d,), or (rows, d)
     cell: Tensor
     decay: np.ndarray            # one value per node, each in [0, 1]
@@ -101,9 +102,6 @@ class TrajectoryStep:
 class Trajectory:
     steps: list[TrajectoryStep]
     tokens: list[str]
-
-    def logprob(self) -> float:
-        return sum(s.logp_op + s.logp_word for s in self.steps)
 
 
 def decay_update(decay: np.ndarray, copied_node, factor: float) -> np.ndarray:
@@ -143,7 +141,7 @@ class TreeDecoder:
     def initial_state(self, encoder_output: EncoderOutput,
                       tree: TokenTypeTree) -> DecoderState:
         d = self.config.hidden_size
-        return DecoderState(step=1, hidden=encoder_output.root_hidden,
+        return DecoderState(hidden=encoder_output.root_hidden,
                             cell=Tensor(np.zeros(d)), decay=np.zeros(len(tree)))
 
     def _lstm(self, hidden: Tensor, cell: Tensor, prev_token_ids: list[int]) -> Tensor:
@@ -233,8 +231,7 @@ class TreeDecoder:
         (then one token id per row, and ``keep`` and ``own`` as ``heads``
         takes them; recording nothing)."""
         hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
-        new_state = DecoderState(step=state.step + 1, hidden=hidden, cell=cell,
-                                 decay=state.decay)
+        new_state = DecoderState(hidden=hidden, cell=cell, decay=state.decay)
         return new_state, self.heads(hidden, node_matrix, keep, state.decay, own)
 
     def teacher_forced(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
@@ -259,8 +256,7 @@ class TreeDecoder:
         decay = np.zeros((len(resets) + 1, num_nodes))
         if self.config.use_decay and not self.config.generate_only:
             for t, nodes in enumerate(resets):
-                decay[t + 1] = decay[t] * self.config.decay_factor
-                decay[t + 1, list(nodes)] = 1.0
+                decay[t + 1] = decay_update(decay[t], list(nodes), self.config.decay_factor)
         return decay
 
     def score_trajectory(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
@@ -352,25 +348,21 @@ class TreeDecoder:
         for i, tree in enumerate(trees):
             own[i, offsets[i]:offsets[i + 1]] = True
             keep[i, offsets[i]:offsets[i + 1]] = self.copy_keep_mask(tree)
+        if len(trees) == 1:
+            own = None  # a lone tree owns every column: attention needs no mask
         results = [Trajectory(steps=[], tokens=[]) for _ in trees]
         live = list(range(len(trees)))  # the tree of each state row
         prev = [BOS] * len(trees)
         with ad.no_grad():
             node_matrix = Tensor(np.vstack([enc.hidden.data for enc, _ in encoded]))
             state = DecoderState(
-                step=1, hidden=Tensor(np.stack([enc.root_hidden.data for enc, _ in encoded])),
+                hidden=Tensor(np.stack([enc.root_hidden.data for enc, _ in encoded])),
                 cell=Tensor(np.zeros((len(trees), self.config.hidden_size))),
-                decay=np.zeros(own.shape))
-            for _ in range(max_len):
-                if len(trees) == 1:
-                    # a lone tree owns every node: the one-tree step, whose
-                    # copy distribution is None wherever copying is infeasible
-                    state, out = self.step(state, node_matrix, keep[0], prev)
-                    feasible = [out.copy_probs is not None]
-                else:
-                    state, out = self.step(state, node_matrix, keep, prev, own)
-                    feasible = np.zeros(len(live), dtype=bool) if out.copy_probs is None \
-                        else out.copy_probs.data.any(axis=1)
+                decay=np.zeros(keep.shape))
+            for t in range(1, max_len + 1):
+                state, out = self.step(state, node_matrix, keep, prev, own)
+                feasible = np.zeros(len(live), dtype=bool) if out.copy_probs is None \
+                    else out.copy_probs.data.any(axis=1)
                 going, prev, copied_rows, copied_nodes = [], [], [], []
                 for r, i in enumerate(live):
                     rec, column = self._choose(out, r, feasible[r], choose, trees[i],
@@ -379,7 +371,7 @@ class TreeDecoder:
                     if traces is not None:
                         block = slice(offsets[i], offsets[i + 1])
                         traces[i].append(_trace_entry(
-                            state.step - 1, out.attn_weights.data[r, block],
+                            t, out.attn_weights.data[r, block],
                             None if out.op_probs is None else out.op_probs.data[r],
                             rec, state.decay[r, block]))
                     if rec.action == OP_GEN and rec.choice == EOS:

@@ -46,10 +46,10 @@ class TestPrimitivesForward:
         keep[0, [1, 4, 5, 9]] = False
         keep[1] = False
         out = ad.softmax(Tensor(x), keep=keep).data
-        # each row is its own shared-mask softmax, up to summation order
+        # each row is its own shared-mask softmax
         for r in (0, 2):
             shared = ad.softmax(Tensor(x[r]), keep=keep[r]).data
-            assert np.allclose(out[r], shared, rtol=0.0, atol=1e-15)
+            assert np.array_equal(out[r], shared)
             assert np.array_equal(out[r] == 0.0, ~keep[r])
         assert not out[1].any()  # a row that keeps nothing is all zero
         # one row gives the shared mask's floats exactly
@@ -57,6 +57,21 @@ class TestPrimitivesForward:
         assert np.array_equal(one[0], ad.softmax(Tensor(x[0]), keep=keep[0]).data)
         with pytest.raises(ShapeError):
             ad.softmax(Tensor(x), keep=keep[:2])
+
+    def test_masked_softmax_row_is_layout_free(self):
+        # one masking rule: a masked vector's floats are those of the same
+        # row of a matrix, under a shared mask and under a per-row mask
+        rng = np.random.default_rng(8)
+        for width in range(1, 41):
+            for _ in range(20):
+                x = rng.normal(scale=3.0, size=(3, width))
+                keep = rng.random((3, width)) < 0.6
+                keep[1, rng.integers(width)] = True
+                vector = ad.softmax(Tensor(x[1]), keep=keep[1]).data
+                shared = ad.softmax(Tensor(x), keep=keep[1]).data[1]
+                per_row = ad.softmax(Tensor(x), keep=keep).data[1]
+                assert np.array_equal(shared, vector), width
+                assert np.array_equal(per_row, vector), width
 
     def test_lstm_rows_equals_one_step_lstm_per_row(self):
         p = op_params()
@@ -417,7 +432,6 @@ OP_LOSSES = {
     "matmul_vector": lambda p: weighted(ad.matmul(p["m"], p["x"])),
     "matmul_matrix": lambda p: weighted(ad.matmul(p["m"], p["n"])),
     "dot": lambda p: weighted(ad.dot(p["x"], p["y"])),
-    "transpose": lambda p: weighted(ad.transpose(p["m"])),
     "concat": lambda p: weighted(ad.concat([p["x"], p["y"], p["x"]])),
     "stack_rows": lambda p: weighted(ad.stack_rows([p["x"], p["y"], p["x"]])),
     "sigmoid": lambda p: weighted(ad.sigmoid(p["x"])),
@@ -526,7 +540,7 @@ class TestPrimitiveJacobians:
                                           rng=rng)
             assert err < 1e-4, f"seed {seed} trial {trial} kind {kind}: {err}"
 
-    def test_stack_rows_and_transpose(self):
+    def test_stack_rows_and_pooling(self):
         rng = np.random.default_rng(11)
         rows = [leaf(rng.normal(size=3)) for _ in range(4)]
         q = leaf(rng.normal(size=3))
@@ -534,7 +548,7 @@ class TestPrimitiveJacobians:
         def loss():
             mat = ad.stack_rows(rows)
             scores = ad.matmul(mat, q)
-            pooled = ad.matmul(ad.transpose(mat), ad.softmax(scores))
+            pooled = ad.matmul(ad.softmax(scores), mat)
             return ad.sumall(ad.tanh(pooled))
 
         params = {f"r{i}": r for i, r in enumerate(rows)}

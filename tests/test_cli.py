@@ -45,6 +45,14 @@ class TestUsage:
         code, _, _ = run(["synth", "--n", "5"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("override", ["foo", "=1"])
+    def test_malformed_override_exits_one(self, tmp_path, corpus_path, override, capsys):
+        run_dir = tmp_path / "run"
+        code, _, err = run(train_args(corpus_path, run_dir, ["--set", override]), capsys)
+        assert code == 1
+        assert f"expected KEY=VALUE, got {override!r}" in err
+        assert not run_dir.exists()
+
 
 class TestSynthAndPreprocess:
     def test_synth_writes_jsonl(self, tmp_path, capsys):
@@ -141,6 +149,17 @@ class TestTrainGenerateEvaluate:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["finished_at"] is not None
         assert (manifest["status"], manifest["exit_code"]) == ("aborted", 3)
+
+    def test_failed_run_stamps_error_in_manifest(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        run_dir = tmp_path / "run"
+        code, _, err = run(train_args(corpus, run_dir), capsys)
+        assert code == 2
+        assert "empty corpus" in err
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["finished_at"] is not None
+        assert (manifest["status"], manifest["exit_code"]) == ("error", 2)
 
     def test_collapsed_run_exits_three_and_says_so(self, tmp_path, capsys):
         # after one step at learning rate 1e300 every gate saturates: most

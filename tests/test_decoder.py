@@ -362,7 +362,7 @@ class TestSampling:
             traj = decoder.decode_sample(enc, tree, np.random.default_rng(trial))
             lo, lw = decoder.score_trajectory(enc, tree, traj)
             total = float(lo.data.sum() + lw.data.sum())
-            assert abs(total - traj.logprob()) < 1e-9
+            assert abs(total - sum(s.logp_op + s.logp_word for s in traj.steps)) < 1e-9
 
     def test_rescoring_is_bitwise_consistent_per_step(self):
         _, encoder, decoder = make_model(seed=32)

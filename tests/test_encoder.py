@@ -286,7 +286,7 @@ class TestBatch:
         def probe(out):
             # every node's state counts, with its own weight
             weights = np.linspace(0.5, 1.5, out.hidden.size).reshape(out.hidden.shape)
-            return ad.add(ad.sumall(ad.mul(ad.tanh(out.hidden), ad.constant(weights))),
+            return ad.add(ad.sumall(ad.mul(ad.tanh(out.hidden), ad.Tensor(weights))),
                           ad.sumall(ad.tanh(out.cell)))
 
         for k, tree in enumerate(trees):
