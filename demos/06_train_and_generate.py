@@ -3,7 +3,7 @@
 # out-of-vocabulary, train with the likelihood objective, then decode unseen
 # queries. Copying is what makes the fresh literals reproducible.
 #
-# Runs in a couple of minutes on one core.
+# Runs in a few seconds on one core.
 
 from treecomment import metrics
 from treecomment.corpus import examples_from_pairs, generate_synthetic

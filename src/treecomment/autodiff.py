@@ -14,11 +14,12 @@ gradients. Graphs are never shared between threads.
 Most of the cost of a tape is Python bookkeeping per op, not arithmetic, so
 the recurrent cells are fused and batched. ``tree_lstm`` runs an N-ary
 Tree-LSTM over every node of a forest as one op, by the index plan of a
-``TreePlan``: level by level over node height, one matrix product per
-weight (for the input weights, one per weight for the whole forest), and a
-hand-written backward that runs the levels top-down and forms each weight
-gradient as one matrix product over all the rows that used the weight. It
-knows no grammar: the plan names weights by integer keys. ``lstm`` runs T
+``TreePlan``: one matrix product per input weight for the whole forest,
+then level by level over node height one ``np.matmul`` per bucket of
+equal-size groups of recurrent terms, and a hand-written backward that runs
+the levels top-down by the same buckets and forms each weight gradient as
+one matrix product over all the rows that used the weight. It knows no
+grammar: the plan names weights by integer keys. ``lstm`` runs T
 decoder steps as one op over gate weights bound once as views of stacked
 arrays (``bind_lstm_gates``): the input products of all four gates are one
 matrix product over the T rows, each step adds one stacked recurrent
@@ -51,6 +52,7 @@ axis, and no GPU path.
 
 from __future__ import annotations
 
+import bisect
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
@@ -377,14 +379,14 @@ def _lstm_bw(out, g, parents):
 def _tree_lstm_bw(out, g, parents):
     plan, gates = out._ctx
     phi = parents[0]
-    affine = parents[1:1 + 2 * len(plan.affine)]
+    affine = parents[1:1 + 2 * len(plan.affine_keys)]
     recurrent = parents[1 + len(affine):]
     n = plan.nodes
     hs, cs = out.data[:n], out.data[n:]
     gh, gc = g[:n].copy(), g[n:].copy()
     das = np.empty_like(gates)
     # top-down: a level's gradients are complete once every level above ran
-    for nodes, r0, r1, kids, groups in reversed(plan.levels):
+    for nodes, r0, r1, forget, rows, src, _, buckets in reversed(plan.levels):
         m = len(nodes)
         gate, da = gates[r0:r1], das[r0:r1]
         i, o, u = gate[:m], gate[m:2 * m], gate[2 * m:3 * m]
@@ -394,25 +396,26 @@ def _tree_lstm_bw(out, g, parents):
         da[:m] = u * dc * i * (1.0 - i)
         da[m:2 * m] = tc * dh * o * (1.0 - o)
         da[2 * m:3 * m] = i * dc * (1.0 - u * u)
-        lo = 3 * m
-        for kid in kids:
-            hi = lo + len(kid)
-            f, dck = gate[lo:hi], dc[:len(kid)]
-            da[lo:hi] = cs[kid] * dck * f * (1.0 - f)
-            gc[kid] += f * dck
-            lo = hi
-        for w, rows, src in groups:
-            np.add.at(gh, src, das[rows] @ recurrent[w].data)
+        kids, at, _ = forget
+        f, dck = gate[3 * m:], dc[at]
+        da[3 * m:] = cs[kids] * dck * f * (1.0 - f)
+        gc[kids] += f * dck
+        if len(rows):
+            _add_rows(gh, src, _terms(das, recurrent, len(rows), buckets, True))
     # each weight's gradient is one product over every row that used it
     dphi = np.zeros_like(phi.data)
-    for k, (rows, xs) in enumerate(plan.affine):
+    rows, xs, bounds = plan.affine
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         w, b = affine[2 * k], affine[2 * k + 1]
-        da = das[rows]
-        w._accumulate(da.T @ phi.data[xs])
+        da, x = das[rows[lo:hi]], xs[lo:hi]
+        w._accumulate(da.T @ phi.data[x])
         b._accumulate(da.sum(axis=0))
-        np.add.at(dphi, xs, da @ w.data)
-    for u, (rows, src) in zip(recurrent, plan.recurrent):
-        u._accumulate(das[rows].T @ hs[src])
+        _add_rows(dphi, x, da @ w.data)
+    d = hs.shape[1]
+    for r, rows, src, keys in plan.grads:
+        da = das[rows].reshape(len(keys), r, d).transpose(0, 2, 1)
+        for k, du in zip(keys, np.matmul(da, hs[src].reshape(len(keys), r, d))):
+            recurrent[k]._accumulate(du)
     phi._accumulate(dphi)
 
 
@@ -799,11 +802,30 @@ class TreePlan:
     update gates of its nodes, then forget block k for the nodes with at
     least k children, which are a prefix of the level. A group is the rows
     that read one weight (in one level and slot, for U), with the node each
-    reads from.
+    reads from. The plan holds flat index arrays, not groups:
+
+    - ``affine``: ``(rows, xs, bounds)``, the rows of each (W, b) key and
+      the node each reads, key after key; key k owns
+      ``bounds[k]:bounds[k + 1]``.
+    - ``levels``: per level ``(nodes, r0, r1, forget, rows, src, slots,
+      buckets)``. ``nodes`` are the level's nodes, ``r0:r1`` its rows and
+      ``forget`` its forget rows: ``(kids, at, blocks)``, the child each
+      forgets, the place of its node in the level, and where each block k
+      starts, with the total last. ``rows``
+      and ``src`` list its recurrent terms slot by slot, by U key within a
+      slot: the gate row a term adds to and the child it reads; slot j
+      owns ``slots[j]:slots[j + 1]``. Within one slot a row reads one U.
+    - A bucket is every group of a level with the same number of rows, r:
+      ``(r, pos, src, rows, keys)``, where ``pos`` are the places of its
+      terms in the level's order, r per group, ``src`` and ``rows`` their
+      children and gate rows, and ``keys`` the U of each group.
+    - ``grads``: the U gradients in buckets of keys used by the same number
+      of rows, R: ``(R, rows, src, keys)``, each key's rows in level, slot
+      and child order.
     """
 
-    __slots__ = ("nodes", "rows", "affine_keys", "recurrent_keys", "affine", "recurrent",
-                 "levels")
+    __slots__ = ("nodes", "rows", "affine_keys", "recurrent_keys", "affine", "levels",
+                 "grads")
 
     def __init__(self, children, affine, recurrent):
         children, affine, recurrent = _ids(children), _ids(affine), _ids(recurrent)
@@ -844,35 +866,106 @@ class TreePlan:
         row_of = block_start[height] + pos[:, None]
         gates = np.arange(3 + width) < (3 + arity)[:, None]
 
-        v, b = np.nonzero(gates)
+        v, b = np.nonzero(gates)  # in row order per node
         keys, rows = affine[v, b], row_of[v, b]
-        by = np.lexsort((rows, v, keys))
-        keys, rows, v = keys[by], rows[by], v[by]
+        by = np.argsort(keys, kind="stable")
+        keys = keys[by]
         runs = _runs(keys)
         self.affine_keys = keys[runs[:-1]].tolist()
-        self.affine = [(rows[lo:hi], v[lo:hi]) for lo, hi in zip(runs[:-1], runs[1:])]
+        self.affine = (rows[by], v[by], runs)
 
-        v, b, j = np.nonzero(gates[:, :, None] & (slots < arity[:, None])[:, None, :])
-        keys, rows, src, level = recurrent[v, b, j], row_of[v, b], children[v, j], height[v]
-        by = np.lexsort((rows, src, keys, j, level))
-        keys, rows, src, j, level = keys[by], rows[by], src[by], j[by], level[by]
-        by = np.argsort(keys, kind="stable")
-        runs = _runs(keys[by])
-        self.recurrent_keys = keys[by[runs[:-1]]].tolist()
-        self.recurrent = [(rows[by[lo:hi]], src[by[lo:hi]]) for lo, hi in zip(runs[:-1], runs[1:])]
-        index = np.searchsorted(self.recurrent_keys, keys)
-        runs = _runs(level, j, keys)
-        groups = [[] for _ in range(levels)]
-        for lo, hi in zip(runs[:-1], runs[1:]):
-            groups[level[lo]].append((index[lo], rows[lo:hi], src[lo:hi]))
+        # one term per (gate, slot) of a node with a child in the slot; node
+        # v has (3 + a) gates times a slots, listed row-major
+        terms = (3 + arity) * arity
+        v = np.repeat(np.arange(n), terms)
+        b, j = np.divmod(np.arange(v.size) - np.repeat(np.cumsum(terms) - terms, terms),
+                         np.maximum(arity[v], 1))
+        unique, key = np.unique(recurrent[v, b, j], return_inverse=True)
+        self.recurrent_keys = unique.tolist()
+        # the order the levels run them: level, slot, key, child, row; a
+        # group is a run of one (level, slot, key). The sort is stable, so a
+        # node's gates stay in row order
+        group = (height[v] * width + j) * len(unique) + key
+        by = np.argsort(group * n + children[v, j], kind="stable")
+        v, b, j, key, group = v[by], b[by], j[by], key[by], group[by]
+        rows, src, level = row_of[v, b], children[v, j], height[v]
+        runs = _runs(group)
+        size = np.repeat(np.diff(runs), np.diff(runs))
+        # buckets: the groups of a level with one size, in group order
+        bucket = level * (len(size) + 1) + size
+        by = np.argsort(bucket, kind="stable")
+        first = np.searchsorted(level, np.arange(levels + 1))
+        buckets = _runs(bucket[by])
+        place = by - first[level[by]]
+        level_rows, level_src, level_keys = rows[by], src[by], key[by]
 
+        slot_runs = _runs(level, j)
+        # forget rows: each node's k-th child, by level, block k and place
+        k = np.arange(kids.size) - np.repeat(np.cumsum(arity) - arity, arity)
+        kept = np.argsort((height[parent] * width + k) * n + pos[parent], kind="stable")
+        forget_kids, forget_at = kids[kept], pos[parent[kept]]
+        forget_first = np.searchsorted(height[parent[kept]], np.arange(levels + 1)).tolist()
+        blocks = [[0] + ends[:count] for ends, count in
+                  zip(np.cumsum(wide, axis=1).tolist(), (wide > 0).sum(axis=1).tolist())]
         self.nodes, self.rows = n, int(sizes.sum())
         self.levels = []
+        at = 0
         for lev in range(levels):
             nodes = order[starts[lev]:starts[lev + 1]]
-            kids = [children[nodes[:size], k] for k, size in enumerate(wide[lev]) if size]
-            r0 = int(block_start[lev, 0])
-            self.levels.append((nodes, r0, r0 + int(sizes[lev].sum()), kids, groups[lev]))
+            e0, e1 = first[lev], first[lev + 1]
+            level_buckets = []
+            while at + 1 < len(buckets) and buckets[at] < e1:
+                lo, hi = buckets[at], buckets[at + 1]
+                r = int(size[by[lo]])
+                level_buckets.append((r, place[lo:hi], level_src[lo:hi], level_rows[lo:hi],
+                                      level_keys[lo:hi:r].tolist()))
+                at += 1
+            bounds = slot_runs[bisect.bisect_left(slot_runs, e0):
+                               bisect.bisect_right(slot_runs, e1)]
+            self.levels.append((
+                nodes, int(block_start[lev, 0]), int(block_start[lev, 0] + sizes[lev].sum()),
+                (forget_kids[forget_first[lev]:forget_first[lev + 1]],
+                 forget_at[forget_first[lev]:forget_first[lev + 1]], blocks[lev]),
+                rows[e0:e1], src[e0:e1], [x - e0 for x in bounds] or [0], level_buckets))
+
+        # the gradient of U is one product over its rows, in the order above
+        total = np.bincount(key, minlength=len(unique))[key]
+        by = np.argsort(total * len(unique) + key, kind="stable")
+        runs = _runs(total[by])
+        self.grads = [(int(total[by[lo]]), rows[by[lo:hi]], src[by[lo:hi]],
+                       key[by[lo:hi:total[by[lo]]]].tolist())
+                      for lo, hi in zip(runs[:-1], runs[1:])]
+
+
+def _stack(weights: Sequence[Tensor], keys: Sequence[int]) -> np.ndarray:
+    """The ``data`` of ``weights[k]`` for each k of ``keys``, stacked."""
+    return np.concatenate([weights[k].data for k in keys]).reshape(
+        len(keys), *weights[keys[0]].shape)
+
+
+def _add_rows(target: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """``target[index[i]] += values[i]`` for each i in turn, repeated
+    indices included: ``np.add.at`` over the flattened rows, which applies
+    its indices in order and runs faster than over rows."""
+    d = target.shape[1]
+    np.add.at(target.reshape(-1), (index[:, None] * d + np.arange(d)).ravel(),
+              values.reshape(-1))
+
+
+def _terms(hs: np.ndarray, weights: Sequence[Tensor], count: int, buckets,
+           backward: bool) -> np.ndarray:
+    """A level's recurrent terms, in the level's order: ``h @ U.T`` of each
+    term's child, or for the backward ``da @ U`` of each term's gate row
+    (``hs`` then holds the gate gradients). One ``np.matmul`` per bucket:
+    over a stack of equal-shape slices, it gives the floats of each
+    slice's own product."""
+    d = hs.shape[1]
+    terms = np.empty((count, d))
+    for r, pos, src, rows, keys in buckets:
+        us = _stack(weights, keys)
+        x = hs[rows if backward else src].reshape(len(keys), r, d)
+        terms[pos] = np.matmul(x, us if backward else us.transpose(0, 2, 1)).reshape(-1, d)
+    return terms
 
 
 def tree_lstm(phi: Tensor, affine: Sequence[tuple[Tensor, Tensor]], recurrent: Sequence[Tensor],
@@ -887,10 +980,14 @@ def tree_lstm(phi: Tensor, affine: Sequence[tuple[Tensor, Tensor]], recurrent: S
     ``W @ phi_v + b + U_1 @ h_1 + ... + U_n @ h_n`` over v's children in
     slot order; ``c = i * u + sum_k f_k * c_k`` and ``h = o * tanh(c)``; a
     leaf has no recurrent terms. Every ``W @ phi + b`` is one matrix product
-    per (W, b) pair for the whole forest; the recurrent terms are one
-    product per U and level, bottom-up. The backward runs the levels
-    top-down and forms each weight gradient as one product over all rows
-    that used the weight.
+    per (W, b) pair for the whole forest. Level by level, bottom-up, the
+    recurrent terms are one ``np.matmul`` per bucket of the plan, over the
+    bucket's U weights stacked for the call; they are added into the gate
+    rows slot by slot, so each gate sums its terms in slot order. The
+    backward runs the levels top-down by the same buckets and forms each
+    U gradient as one product over all rows that used the weight, stacked
+    over keys used by as many rows. Each product gives the floats of a
+    product per group, so the results do not depend on the buckets.
     """
     affine, recurrent = tuple(affine), tuple(recurrent)
     if phi.data.ndim != 2 or phi.data.shape[0] != plan.nodes \
@@ -902,26 +999,27 @@ def tree_lstm(phi: Tensor, affine: Sequence[tuple[Tensor, Tensor]], recurrent: S
     n, d = phi.data.shape
     # pre-activations, which each level overwrites with its gate values
     gates = np.empty((plan.rows, d))
-    for (w, b), (rows, xs) in zip(affine, plan.affine):
-        product = phi.data[xs] @ w.data.T
+    rows, xs, bounds = plan.affine
+    for (w, b), lo, hi in zip(affine, bounds, bounds[1:]):
+        product = phi.data[xs[lo:hi]] @ w.data.T
         product += b.data
-        gates[rows] = product
+        gates[rows[lo:hi]] = product
     data = np.zeros((2 * n, d))
     hs, cs = data[:n], data[n:]
-    for nodes, r0, r1, kids, groups in plan.levels:
+    for nodes, r0, r1, forget, rows, src, slots, buckets in plan.levels:
         m = len(nodes)
-        for u, rows, src in groups:  # slots outermost, as the sum runs
-            gates[rows] += hs[src] @ recurrent[u].data.T
+        terms = _terms(hs, recurrent, len(rows), buckets, False)
+        for lo, hi in zip(slots, slots[1:]):
+            gates[rows[lo:hi]] += terms[lo:hi]
         gate = gates[r0:r1]
         gate[:2 * m] = _sigmoid(gate[:2 * m])
         gate[2 * m:3 * m] = np.tanh(gate[2 * m:3 * m])
         gate[3 * m:] = _sigmoid(gate[3 * m:])
         cell = gate[:m] * gate[2 * m:3 * m]
-        lo = 3 * m
-        for kid in kids:
-            hi = lo + len(kid)
-            cell[:len(kid)] += gate[lo:hi] * cs[kid]
-            lo = hi
+        kids, _, blocks = forget
+        kept = gate[3 * m:] * cs[kids]
+        for lo, hi in zip(blocks, blocks[1:]):
+            cell[:hi - lo] += kept[lo:hi]
         cs[nodes] = cell
         hs[nodes] = gate[m:2 * m] * np.tanh(cell)
     inputs = (phi,) + tuple(t for pair in affine for t in pair) + recurrent

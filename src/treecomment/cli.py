@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -30,7 +31,7 @@ from .params import load_checkpoint, save_checkpoint
 from .parsers import parse_lambda, parse_sql
 from .trees import get_grammar, tree_stats
 from .training import (TrainConfig, build_model, config_from_text, config_to_text,
-                       encoded_chunks, greedy_candidates, train)
+                       config_value, encoded_chunks, greedy_candidates, train)
 
 MANIFEST_VERSION = 1
 
@@ -58,11 +59,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _override(text: str) -> tuple[str, str]:
+def _override(text: str) -> tuple[str, object]:
+    """A ``--set KEY=VALUE`` as the key and its parsed value, checked as a
+    config file's line is, so a bad key or value is a usage error."""
     key, sep, value = text.partition("=")
     if not (key and sep):
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    return key, value
+    key = key.strip()
+    try:
+        return key, config_value(key, value.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _sha256(path: Path) -> str:
@@ -168,14 +175,7 @@ def _load_train_config(args) -> TrainConfig:
         cfg = config_from_text(Path(args.config).read_text())
     else:
         cfg = TrainConfig()
-    overrides = dict(args.set or [])
-    if overrides:
-        merged = config_to_text(cfg).splitlines()
-        text = "\n".join(line for line in merged
-                         if line.split("=")[0] not in overrides)
-        text += "\n" + "\n".join(f"{k}={v}" for k, v in overrides.items())
-        cfg = config_from_text(text)
-    return cfg
+    return dataclasses.replace(cfg, **dict(args.set or []))
 
 
 def cmd_train(args) -> int:

@@ -15,9 +15,10 @@ simply skipped rather than materialized.
 ``autodiff.tree_lstm`` op every node's state, by a plan that keys each
 gate's weights by integer codes of (gate, type) and (gate, k, slot, child
 type). Codes name the tensor a lookup resolves to, so an untyped tree and a
-type-changed variant get the same plan and run identical ops; each distinct
-tensor is looked up once per batch, and parameters keep their per-gate
-names. Each tree's output is a view of its rows of the result.
+type-changed variant get the same plan and run identical ops. A code
+resolves through a table on the encoder, so the store sees each tensor
+once per encoder, and parameters keep their per-gate names. Each tree's
+output is a view of its rows of the result.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
-from .corpus import Vocab
+from .corpus import UNK, Vocab
 from .params import ParamStore
 from .trees import Grammar, TokenTypeTree
 
@@ -76,11 +77,15 @@ class TreeEncoder:
         self.vocab = source_vocab
         self.config = config
         self.embed = store.get("enc.embed", (len(source_vocab), config.hidden_size))
+        # gate weights by the codes of ``_plan``: (W, b) pairs and U tensors
+        self._affine: dict[int, tuple[Tensor, Tensor]] = {}
+        self._recurrent: dict[int, Tensor] = {}
 
     def embed_nodes(self, token_lists) -> Tensor:
         """Mean source embedding of each node's tokens, one row per entry of
         ``token_lists``; a node without tokens gets a zero row."""
-        ids = [self.vocab.id_of(t.lower()) for tokens in token_lists for t in tokens]
+        get = self.vocab.token_to_id.get
+        ids = [get(t.lower(), UNK) for tokens in token_lists for t in tokens]
         return ad.embedding_means(self.embed, ids, [len(t) for t in token_lists])
 
     def _check(self, tree: TokenTypeTree) -> None:
@@ -120,8 +125,9 @@ class TreeEncoder:
         """The forest's ``TreePlan`` and its (W, b) pairs and U weights.
 
         The plan keys each gate by an integer code of (gate, type) and each
-        recurrent weight by one of (gate, k, slot, child type); every
-        distinct code is looked up in the store once."""
+        recurrent weight by one of (gate, k, slot, child type). A code
+        resolves through the encoder's tables; only a code the encoder has
+        not met yet goes to the store."""
         kid_lists = [[base + c for c in node.children]
                      for tree, base in zip(trees, offsets) for node in tree.nodes]
         n = len(kid_lists)
@@ -140,27 +146,40 @@ class TreeEncoder:
         gate = np.arange(3)
         affine = np.concatenate([gate * count + types[:, None], 3 * count + child_types],
                                 axis=1)
-        # U code: ((gate * (width + 1) + k) * width + slot) * count + child type
+        # U code: ((gate * (A + 1) + k) * A + slot) * count + child type, for
+        # the grammar's arity A, so a code names one tensor in every batch
+        slots = self.grammar.max_arity
         k = np.zeros(width, dtype=np.intp) if self.config.tie_forget_slots \
             else np.arange(1, width + 1)
-        gate_k = np.concatenate([gate * (width + 1), 3 * (width + 1) + k])
-        recurrent = (gate_k[:, None] * width + np.arange(width)) * count + child_types[:, None, :]
+        gate_k = np.concatenate([gate * (slots + 1), 3 * (slots + 1) + k])
+        recurrent = (gate_k[:, None] * slots + np.arange(width)) * count \
+            + child_types[:, None, :]
         plan = ad.TreePlan(children, affine, recurrent)
-
-        d = self.config.hidden_size
-        get = self.store.get
-        pairs = []
-        for code in plan.affine_keys:
-            g, t = divmod(code, count)
-            pairs.append((get(param_name(GATES[g], "W", names[t]), (d, d)),
-                          get(param_name(GATES[g], "b", names[t]), (d,))))
-        us = []
-        for code in plan.recurrent_keys:
-            rest, t = divmod(code, count)
-            rest, slot = divmod(rest, width)
-            g, k = divmod(rest, width + 1)
-            us.append(get(param_name(GATES[g], "U", names[t], slot + 1, k), (d, d)))
+        pairs = [self._affine.get(code) or self._new_pair(code, names)
+                 for code in plan.affine_keys]
+        us = [self._recurrent.get(code) or self._new_u(code, names)
+              for code in plan.recurrent_keys]
         return plan, pairs, us
+
+    # a code met for the first time goes to the store, which creates its
+    # weight when new, and is remembered
+
+    def _new_pair(self, code: int, names: list[str]) -> tuple[Tensor, Tensor]:
+        g, t = divmod(code, len(names))
+        d = self.config.hidden_size
+        pair = self._affine[code] = (
+            self.store.get(param_name(GATES[g], "W", names[t]), (d, d)),
+            self.store.get(param_name(GATES[g], "b", names[t]), (d,)))
+        return pair
+
+    def _new_u(self, code: int, names: list[str]) -> Tensor:
+        slots, d = self.grammar.max_arity, self.config.hidden_size
+        rest, t = divmod(code, len(names))
+        rest, slot = divmod(rest, slots)
+        g, k = divmod(rest, slots + 1)
+        u = self._recurrent[code] = self.store.get(
+            param_name(GATES[g], "U", names[t], slot + 1, k), (d, d))
+        return u
 
 
 def encoder_gradient_check(encoder: TreeEncoder, trees: Sequence[TokenTypeTree],

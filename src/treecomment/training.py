@@ -78,22 +78,29 @@ class TrainConfig:
     tie_forget_slots: bool = False
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must lie in (0, 1)")
-        if self.reward_metric not in REWARD_METRICS:
-            raise ValueError(f"reward_metric must be one of {REWARD_METRICS}")
-        if self.batch_size < 1 or self.hidden_size < 1 or self.max_decode_len < 1:
-            raise ValueError("batch_size, hidden_size, max_decode_len must be >= 1")
-        if not 0.0 <= self.baseline_decay < 1.0:
-            raise ValueError("baseline_decay must lie in [0, 1)")
+        for key, (ok, message) in _FIELD_CHECKS.items():
+            if not ok(getattr(self, key)):
+                raise ValueError(f"{key} {message}")
 
+
+# the values a field accepts: (test, what the message says otherwise)
+_FIELD_CHECKS = {
+    "learning_rate": (lambda v: v > 0, "must be positive"),
+    "total_steps": (lambda v: v >= 1, "must be >= 1"),
+    "decay_factor": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "reward_metric": (lambda v: v in REWARD_METRICS, f"must be one of {REWARD_METRICS}"),
+    "batch_size": (lambda v: v >= 1, "must be >= 1"),
+    "hidden_size": (lambda v: v >= 1, "must be >= 1"),
+    "max_decode_len": (lambda v: v >= 1, "must be >= 1"),
+    "eval_every": (lambda v: v >= 1, "must be >= 1"),
+    "baseline_decay": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+}
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,
                "yes": True, "no": False}
+
+# each field's annotation, which names how its text parses
+_KINDS = {f.name: f.type for f in dataclass_fields(TrainConfig)}
 
 
 def config_to_text(cfg: TrainConfig) -> str:
@@ -104,9 +111,34 @@ def config_to_text(cfg: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def config_value(key: str, text: str):
+    """The value of config field ``key`` written as ``text``, checked as
+    ``TrainConfig.validate`` checks it; a ValueError names the key."""
+    kind = _KINDS.get(key)
+    if kind is None:
+        raise ValueError(f"unknown key {key!r}")
+    if kind == "float | None" and text.lower() in ("none", ""):
+        return None
+    if kind == "bool":
+        if text.lower() not in _BOOL_WORDS:
+            raise ValueError(f"{key}: bad boolean {text!r}")
+        value = _BOOL_WORDS[text.lower()]
+    else:
+        parse = {"int": int, "str": str}.get(kind, float)
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ValueError(f"{key}: expected {'an int' if parse is int else 'a number'}, "
+                             f"got {text!r}") from None
+    ok, message = _FIELD_CHECKS.get(key, (lambda v: True, ""))
+    if not ok(value):
+        raise ValueError(f"{key} {message}, got {text!r}")
+    return value
+
+
 def config_from_text(text: str) -> TrainConfig:
-    """Parse line-oriented key=value config; unknown keys are rejected."""
-    known = {f.name: f for f in dataclass_fields(TrainConfig)}
+    """Parse line-oriented key=value config; unknown keys are rejected, and
+    an error names the line and the key."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -115,21 +147,10 @@ def config_from_text(text: str) -> TrainConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in known:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key == "grad_clip":
-            values[key] = None if val.lower() in ("none", "") else float(val)
-        elif known[key].type in ("bool", bool):
-            if val.lower() not in _BOOL_WORDS:
-                raise ValueError(f"config line {lineno}: bad boolean {val!r}")
-            values[key] = _BOOL_WORDS[val.lower()]
-        elif known[key].type in ("int", int):
-            values[key] = int(val)
-        elif known[key].type in ("float", float):
-            values[key] = float(val)
-        else:
-            values[key] = val
+        try:
+            values[key.strip()] = config_value(key.strip(), val.strip())
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     cfg = TrainConfig(**values)
     cfg.validate()
     return cfg

@@ -53,6 +53,36 @@ class TestUsage:
         assert f"expected KEY=VALUE, got {override!r}" in err
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("foo=1", "unknown key 'foo'"),
+        ("hidden_size=abc", "hidden_size: expected an int, got 'abc'"),
+        ("mle_only=maybe", "mle_only: bad boolean 'maybe'"),
+        ("learning_rate=-1", "learning_rate must be positive, got '-1'"),
+        ("eval_every=0", "eval_every must be >= 1, got '0'"),
+    ])
+    def test_bad_override_exits_one_naming_the_key(self, tmp_path, corpus_path, override,
+                                                   message, capsys):
+        run_dir = tmp_path / "run"
+        code, out, err = run(train_args(corpus_path, run_dir, ["--set", override]), capsys)
+        assert (code, out) == (1, "")
+        assert message in err and "config line" not in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("hidden_size=abc", "config line 2: hidden_size: expected an int, got 'abc'"),
+        ("decay_factor=1.5", "config line 2: decay_factor must lie in (0, 1), got '1.5'"),
+        ("foo=1", "config line 2: unknown key 'foo'"),
+    ])
+    def test_bad_config_file_value_exits_two_naming_line_and_key(
+            self, tmp_path, corpus_path, line, message, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"seed=3\n{line}\n")
+        run_dir = tmp_path / "run"
+        code, out, err = run(train_args(corpus_path, run_dir, ["--config", str(config)]),
+                             capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestSynthAndPreprocess:
     def test_synth_writes_jsonl(self, tmp_path, capsys):

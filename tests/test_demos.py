@@ -1,5 +1,5 @@
-"""The quick demos run to completion. Demo 06 trains for minutes and is left
-out."""
+"""Every demo runs to completion. The slowest, demo 06, trains and decodes
+in seconds."""
 
 import os
 import subprocess
@@ -9,14 +9,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-QUICK_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-9]_*.py"))
 
 
 def test_quick_demos_found():
-    assert len(QUICK_DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("demo", QUICK_DEMOS)
+@pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -332,3 +332,177 @@ class TestEncoderTape:
             calls.clear()
             encoder.encode_batch(trees)
             assert len(calls) == 2 + 3 * count
+
+
+def _per_group_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def per_group_tree_lstm(children, affine, recurrent, phi, pairs, us, g):
+    """The forest op computed group by group, as one loop per group: a
+    reference for ``autodiff.tree_lstm`` that shares no code with it.
+
+    A group is the gate rows that read one weight: for (W, b), every row
+    keyed by it, in (node, gate) order; for U, the rows of one level and
+    one child slot keyed by it, in (child, gate) order. Groups run in key
+    order, and within a level slot by slot. Returns ``[H; C]`` and the
+    gradients of ``phi``, of each (W, b) pair and of each U for the output
+    gradient ``g``."""
+    n, width = children.shape
+    d = phi.shape[1]
+    arity = (children >= 0).sum(axis=1)
+    height = np.zeros(n, dtype=int)
+    for v in reversed(range(n)):
+        height[v] = max((height[c] + 1 for c in children[v, :arity[v]]), default=0)
+    gates = [(v, b) for v in range(n) for b in range(3 + arity[v])]
+    akeys = sorted({affine[v, b] for v, b in gates})
+    groups = {}  # (level, slot, key): the (child, gate, node) rows
+    for v, b in gates:
+        for j in range(arity[v]):
+            groups.setdefault((height[v], j, recurrent[v, b, j]), []).append(
+                (children[v, j], b, v))
+    ukeys = sorted({key for _, _, key in groups})
+
+    def affine_group(key):
+        return [(v, b) for v, b in gates if affine[v, b] == key]
+
+    def level_groups(level):
+        for lev, j, key in sorted(groups):
+            if lev == level:
+                src, bs, vs = (list(x) for x in zip(*sorted(groups[lev, j, key])))
+                yield ukeys.index(key), vs, bs, src
+
+    levels = range(height.max() + 1)
+    pre = np.zeros((n, 3 + width, d))
+    for k, key in enumerate(akeys):
+        w, bias = pairs[k]
+        vs, bs = (list(x) for x in zip(*affine_group(key)))
+        product = phi[vs] @ w.T
+        product += bias
+        pre[vs, bs] = product
+    hs, cs = np.zeros((n, d)), np.zeros((n, d))
+    act = np.zeros_like(pre)
+    for level in levels:
+        for u, vs, bs, src in level_groups(level):
+            pre[vs, bs] += hs[src] @ us[u].T
+        for v in np.flatnonzero(height == level):
+            a = arity[v]
+            act[v, :2] = _per_group_sigmoid(pre[v, :2])
+            act[v, 2] = np.tanh(pre[v, 2])
+            act[v, 3:3 + a] = _per_group_sigmoid(pre[v, 3:3 + a])
+            cell = act[v, 0] * act[v, 2]
+            for k in range(a):
+                cell += act[v, 3 + k] * cs[children[v, k]]
+            cs[v] = cell
+            hs[v] = act[v, 1] * np.tanh(cell)
+
+    gh, gc = g[:n].copy(), g[n:].copy()
+    da = np.zeros_like(pre)
+    for level in reversed(levels):
+        for v in np.flatnonzero(height == level):
+            i, o, u = act[v, 0], act[v, 1], act[v, 2]
+            tc = np.tanh(cs[v])
+            dh = gh[v]
+            dc = gc[v] + o * dh * (1.0 - tc * tc)
+            da[v, 0] = u * dc * i * (1.0 - i)
+            da[v, 1] = tc * dh * o * (1.0 - o)
+            da[v, 2] = i * dc * (1.0 - u * u)
+            for k in range(arity[v]):
+                f, kid = act[v, 3 + k], children[v, k]
+                da[v, 3 + k] = cs[kid] * dc * f * (1.0 - f)
+                gc[kid] += f * dc
+        for u, vs, bs, src in level_groups(level):
+            np.add.at(gh, src, da[vs, bs] @ us[u])
+    dphi = np.zeros_like(phi)
+    dpairs = []
+    for k, key in enumerate(akeys):
+        vs, bs = (list(x) for x in zip(*affine_group(key)))
+        rows = da[vs, bs]
+        dpairs.append((rows.T @ phi[vs], rows.sum(axis=0)))
+        np.add.at(dphi, vs, rows @ pairs[k][0])
+    rows = {u: ([], [], []) for u in range(len(ukeys))}
+    for level in levels:
+        for u, vs, bs, src in level_groups(level):
+            for part, extra in zip(rows[u], (vs, bs, src)):
+                part += extra
+    dus = [da[vs, bs].T @ hs[src] for vs, bs, src in rows.values()]
+    return np.vstack([hs, cs]), dphi, dpairs, dus
+
+
+def _shaped_tree(arities, rng, types):
+    """A tree whose nodes, in breadth-first order, have the given child
+    counts (trailing nodes are leaves); node types and tokens are drawn
+    from ``rng``."""
+    nodes, kids, queue, next_id = [], {}, [0], 1
+    for count in arities:
+        if not queue:
+            break
+        v = queue.pop(0)
+        kids[v] = tuple(range(next_id, next_id + count))
+        queue += kids[v]
+        next_id += count
+    for v in range(next_id):
+        nodes.append(Node(v, types[int(rng.integers(len(types)))],
+                          ("alpha",) * int(rng.integers(0, 3)), kids.get(v, ())))
+    return TokenTypeTree(nodes=tuple(nodes), grammar="atis")
+
+
+class TestPerGroupReference:
+    """The forest op against ``per_group_tree_lstm``, bit for bit, on the
+    forests the encoder builds: outputs and every gradient."""
+
+    FORESTS = {
+        "one node": [[0]],
+        "arities 0-14": [[a, 1, 2, 0, 3] for a in range(15)],
+        "wide beside narrow": [[14, 2, 0, 1], [1, 1], [2, 0, 2], [0], [3, 1]],
+        "many narrow": [[2, 1, 1], [1, 2]] * 30,  # groups of many rows
+    }
+
+    @pytest.mark.parametrize("model", ["typed", "untyped", "tied"])
+    @pytest.mark.parametrize("forest", sorted(FORESTS))
+    def test_op_equals_per_group_loops(self, monkeypatch, model, forest):
+        from treecomment.corpus import build_vocab
+        from treecomment.encoder import EncoderConfig, TreeEncoder
+        from treecomment.params import ParamStore
+        from treecomment.trees import get_grammar
+
+        rng = np.random.default_rng(sorted(self.FORESTS).index(forest))
+        grammar = get_grammar("atis")
+        store = ParamStore(seed=3)
+        encoder = TreeEncoder(store, grammar, build_vocab([["alpha"]], min_freq=1),
+                              EncoderConfig(hidden_size=32, untyped=model == "untyped",
+                                            tie_forget_slots=model == "tied"))
+        trees = [_shaped_tree(a, rng, sorted(grammar.types)) for a in self.FORESTS[forest]]
+        seen = {}
+        plan, op = ad.TreePlan, ad.tree_lstm
+
+        def spy_plan(children, affine, recurrent):
+            seen.update(children=np.array(children), affine=np.array(affine),
+                        recurrent=np.array(recurrent))
+            return plan(children, affine, recurrent)
+
+        def spy_op(phi, affine, recurrent, tree_plan):
+            seen.update(phi=phi, pairs=affine, us=recurrent,
+                        out=op(phi, affine, recurrent, tree_plan))
+            return seen["out"]
+
+        monkeypatch.setattr(ad, "TreePlan", spy_plan)
+        monkeypatch.setattr(ad, "tree_lstm", spy_op)
+        encoder.encode_batch(trees)
+        for _, t in store.items():  # every weight is random, biases included
+            t.data[...] = rng.normal(size=t.shape)
+        store.zero_grads()
+        out = op(seen["phi"], seen["pairs"], seen["us"],
+                 plan(seen["children"], seen["affine"], seen["recurrent"]))
+        g = rng.normal(size=out.shape)
+        ad.sumall(ad.mul(out, ad.Tensor(g))).backward()
+
+        data, dphi, dpairs, dus = per_group_tree_lstm(
+            seen["children"], seen["affine"], seen["recurrent"], seen["phi"].data,
+            [(w.data, b.data) for w, b in seen["pairs"]], [u.data for u in seen["us"]], g)
+        assert np.array_equal(out.data, data)
+        assert np.array_equal(seen["phi"].grad, dphi)
+        for (w, b), (dw, db) in zip(seen["pairs"], dpairs):
+            assert np.array_equal(w.grad, dw) and np.array_equal(b.grad, db)
+        for u, du in zip(seen["us"], dus):
+            assert np.array_equal(u.grad, du)
