@@ -62,5 +62,5 @@ traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
 print("\nsampled tokens:", traj.tokens)
 print("trajectory log-probability:",
       round(sum(s.logp_op + s.logp_word for s in traj.steps), 4))
-logp_op, logp_word = decoder.score_trajectory(enc, tree, traj)
+logp_op, logp_word = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
 print("rescored in one pass:", round(float(logp_op.data.sum() + logp_word.data.sum()), 4))

@@ -7,8 +7,9 @@ one small context value the forward result does not already hold
 (``_ctx``: a scalar factor, an index array, a divisor, or the gate values
 and index plan of a fused cell). ``backward()`` on a scalar calls
 ``_backward(node, node.grad, node._parents)`` for every traced ancestor in
-reverse topological order, then clears the three slots so a tape is never
-replayed twice. The walk pushes only traced tensors; leaves just receive
+reverse topological order, then clears the three slots and the node's
+gradient, so a tape is never replayed twice and only leaves keep their
+gradients. The walk pushes only traced tensors; leaves just receive
 gradients. Graphs are never shared between threads.
 
 Most of the cost of a tape is Python bookkeeping per op, not arithmetic, so
@@ -20,24 +21,26 @@ equal-size groups of recurrent terms, and a hand-written backward that runs
 the levels top-down by the same buckets and forms each weight gradient as
 one matrix product over all the rows that used the weight. It knows no
 grammar: the plan names weights by integer keys. ``lstm`` runs T
-decoder steps as one op over gate weights bound once as views of stacked
-arrays (``bind_lstm_gates``): the input products of all four gates are one
-matrix product over the T rows, each step adds one stacked recurrent
-product, and the backward is hand-written BPTT whose weight gradients are
-again one matrix product over all steps. Both return a matrix of states
-(``[H; C]`` for a forest, ``[h_1 .. h_T; c_T]`` for the LSTM) that ``row``
-and ``rows`` read; ``embedding_means`` gives the token-mean inputs of all
-of a forest's nodes at once. ``lstm_rows`` runs one step of the same gate
-arithmetic (``_lstm_cell``) for B independent rows, recording nothing: the
-step of lockstep decoding.
+decoder steps of B sequences side by side as one op over gate weights bound
+once as views of stacked arrays (``bind_lstm_gates``): the input products
+of all four gates are one matrix product over the T * B rows, each step
+adds one stacked recurrent product over the (B, d) states, and the backward
+is hand-written BPTT whose weight gradients are again one matrix product
+over all steps. Both return a matrix of states (``[H; C]`` for a forest,
+``[h_1 .. h_T; c_T]`` for the LSTM) that ``row`` and ``rows`` read;
+``embedding_means`` gives the token-mean inputs of all of a forest's nodes
+at once. ``lstm_rows`` runs one step of the same gate arithmetic
+(``_lstm_cell``) for B independent rows, recording nothing: the step of
+lockstep decoding.
 
 The ops the decoder heads need work on a single vector or on a matrix with
 one row per position: ``linear`` (``x @ W.T``), ``softmax`` and ``concat``
-over the last axis, ``matmul`` with a vector on the left, the copy damping
-``damp``, and the gathers ``rows`` and ``pick``. So one head computes a
-single decoding step, every teacher-forced position, or one step of many
-trees at once; ``softmax`` takes one mask shared by every row or one mask
-row per row.
+over the last axis, the copy damping ``damp``, and the gathers ``rows`` and
+``pick``. So one head computes a single decoding step, every
+teacher-forced position, or one step of many trees at once; ``softmax``
+takes one mask shared by every row or one mask row per row. Every product
+is a ``block_matmul``: equal runs of rows, each against its own block of a
+stack, as one ``np.matmul``, or every row against one matrix.
 
 No operation creates a function object, and a tensor refers only to its
 inputs, never to itself or to anything downstream. A graph is therefore
@@ -117,10 +120,12 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Populate ``grad`` on every traced ancestor of this scalar.
+        """Populate ``grad`` on every leaf this scalar traces back to.
 
         The traversal consumes the graph: parent links, backward functions
-        and contexts are dropped afterwards so a tape is never replayed twice.
+        and contexts are dropped afterwards so a tape is never replayed twice,
+        and so is each traced tensor's gradient once its op has passed it on,
+        which bounds the gradients alive at once to the walk's frontier.
         """
         if self.data.shape != ():
             raise ShapeError(f"backward() needs a scalar, got shape {self.data.shape}")
@@ -154,6 +159,7 @@ class Tensor:
                 node._parents = ()
                 node._backward = None
                 node._ctx = None
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -210,28 +216,17 @@ def _div_bw(out, g, parents):
     s._accumulate(np.asarray(-(g * a.data).sum() / denom ** 2))
 
 
-def _matvec_bw(out, g, parents):
-    a, b = parents
-    a._accumulate(g[:, None] * b.data)  # np.outer without its wrapper
-    b._accumulate(a.data.T @ g)
-
-
-def _matmat_bw(out, g, parents):
-    a, b = parents
-    a._accumulate(g @ b.data.T)
-    b._accumulate(a.data.T @ g)
-
-
-def _vecmat_bw(out, g, parents):
-    a, b = parents
-    a._accumulate(b.data @ g)
-    b._accumulate(a.data[:, None] * g)
-
-
-def _linear_bw(out, g, parents):
-    x, w = parents
-    x._accumulate(g @ w.data)
-    w._accumulate(g.T @ x.data if g.ndim == 2 else g[:, None] * x.data)
+def _block_matmul_bw(out, g, parents):
+    x, m = parents
+    blocks = m.data.reshape((-1,) + m.data.shape[-2:])
+    gs = g.reshape(len(blocks), -1, g.shape[-1])
+    runs = x.data.reshape(len(blocks), -1, x.data.shape[-1])
+    if out._ctx:  # y = x m.T: dx = g m, dm = g.T x
+        dx, dm = np.matmul(gs, blocks), np.matmul(gs.transpose(0, 2, 1), runs)
+    else:         # y = x m: dx = g m.T, dm = x.T g
+        dx, dm = np.matmul(gs, blocks.transpose(0, 2, 1)), np.matmul(runs.transpose(0, 2, 1), gs)
+    x._accumulate(dx.reshape(x.data.shape))
+    m._accumulate(dm.reshape(m.data.shape))
 
 
 def _dot_bw(out, g, parents):
@@ -340,33 +335,38 @@ def _lstm_bw(out, g, parents):
     x, h0, c0 = parents[0], parents[1], parents[2]
     gates, cells, tc = out._ctx
     w, u = parents[3].data.base, parents[4].data.base  # the bound stacks
-    steps, d = tc.shape
-    i, f, o, cand = (gates[:, k * d:(k + 1) * d] for k in range(4))
-    # pre-activation gradient per unit of dc (input, forget, update gates)
-    # and of dh (output gate), for every step at once
-    i_dc = cand * i * (1.0 - i)
-    f_dc = cells[:-1] * f * (1.0 - f)
-    u_dc = i * (1.0 - cand * cand)
-    o_dh = tc * o * (1.0 - o)
+    steps, batch, d = tc.shape
+    g = g.reshape(steps + 1, batch, d)
+    i, f, o, cand = (gates[..., k * d:(k + 1) * d] for k in range(4))
+    # the pre-activation gradient per unit of dc (input, forget, update
+    # gates) and of dh (output gate), for every step at once, written over
+    # the gate values, which nothing reads again: the tape is consumed
     c_dh = o * (1.0 - tc * tc)
-    das = np.empty_like(gates)
-    dh = np.zeros(d)
+    forget = f.copy()
+    u_dc = i * (1.0 - cand * cand)
+    np.multiply(cand * i, 1.0 - i, out=i)
+    cand[...] = u_dc
+    np.multiply(cells[:-1] * f, 1.0 - f, out=f)
+    np.multiply(tc * o, 1.0 - o, out=o)
+    das = gates
+    dh = np.zeros((batch, d))
     dc = g[steps].copy()
     for t in range(steps - 1, -1, -1):
         gh = g[t] + dh
         dc = dc + c_dh[t] * gh
         da = das[t]
-        np.multiply(dc, i_dc[t], out=da[:d])
-        np.multiply(dc, f_dc[t], out=da[d:2 * d])
-        np.multiply(gh, o_dh[t], out=da[2 * d:3 * d])
-        np.multiply(dc, u_dc[t], out=da[3 * d:])
+        da[:, :d] *= dc
+        da[:, d:2 * d] *= dc
+        da[:, 2 * d:3 * d] *= gh
+        da[:, 3 * d:] *= dc
         dh = da @ u
-        dc = f[t] * dc
+        dc = forget[t] * dc
+    das = das.reshape(steps * batch, 4 * d)
     x._accumulate(das @ w)
-    h0._accumulate(dh)
-    c0._accumulate(dc)
+    h0._accumulate(dh.reshape(h0.data.shape))
+    c0._accumulate(dc.reshape(c0.data.shape))
     # the recurrent input of step t is h_{t-1}: h0, then the outputs but the last
-    h_prev = np.vstack((h0.data, out.data[:steps - 1]))
+    h_prev = np.vstack((h0.data.reshape(batch, d), out.data[:(steps - 1) * batch]))
     dw, du, db = das.T @ x.data, das.T @ h_prev, das.sum(axis=0)
     # parents[3:] is (W, U, b) per gate
     for k in range(4):
@@ -460,29 +460,38 @@ def div(a: Tensor, s: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: (m,n)@(n,p) -> (m,p), (m,n)@(n,) -> (m,) or, with a
-    vector on the left, (n,)@(n,p) -> (p,)."""
-    if a.data.ndim == 1 and b.data.ndim == 2:
-        backward = _vecmat_bw
-    elif a.data.ndim != 2:
-        raise ShapeError(f"matmul: left operand must be 1-D or 2-D, got {a.shape}")
-    elif b.data.ndim == 1:
-        backward = _matvec_bw
-    elif b.data.ndim == 2:
-        backward = _matmat_bw
-    else:
-        raise ShapeError(f"matmul: unsupported right operand shape {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    return _result(a.data @ b.data, (a, b), backward)
+    vector on the left, (n,)@(n,p) -> (p,), as a ``block_matmul``."""
+    if a.data.ndim == 2 and b.data.ndim == 1:
+        return block_matmul(b, a, transpose=True)
+    return block_matmul(a, b)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
     """``x @ w.T`` for a vector (k,) -> (m,) or one per row, (T,k) -> (T,m),
-    with ``w`` of shape (m, k). A vector gives ``w @ x`` exactly."""
-    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or x.data.shape[-1] != w.data.shape[1]:
+    with ``w`` of shape (m, k): a ``block_matmul`` with one block."""
+    if w.data.ndim != 2:
         raise ShapeError(f"linear: {x.shape} against weights {w.shape}")
-    data = w.data @ x.data if x.data.ndim == 1 else x.data @ w.data.T
-    return _result(data, (x, w), _linear_bw)
+    return block_matmul(x, w, transpose=True)
+
+
+def block_matmul(x: Tensor, m: Tensor, transpose: bool = False) -> Tensor:
+    """Products of the rows of ``x`` with a stack of G blocks ``m`` (G, n, k),
+    as one ``np.matmul`` over the stack: the rows split into G equal runs,
+    and run g is multiplied by block g, ``x_g @ m_g.T`` with ``transpose``
+    and ``x_g @ m_g`` without. A 2-D ``m`` is one block for every row, and
+    a vector ``x`` is one row; one block is the plain 2-D product, whose
+    floats a stack of one gives too. The result keeps ``x``'s rows."""
+    xd, md = x.data, m.data
+    inner = md.shape[-1 if transpose else -2]
+    if md.ndim not in (2, 3) or xd.ndim not in (1, 2) or xd.shape[-1] != inner \
+            or (md.ndim == 3 and (xd.ndim != 2 or len(xd) % len(md))):
+        raise ShapeError(f"block_matmul: {x.shape} against blocks {m.shape}")
+    if md.ndim == 2:
+        data = xd @ (md.T if transpose else md)
+    else:
+        runs = xd.reshape(len(md), -1, inner)
+        data = np.matmul(runs, md.transpose(0, 2, 1) if transpose else md).reshape(len(xd), -1)
+    return _result(data, (x, m), _block_matmul_bw, transpose)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -611,16 +620,19 @@ def row(m: Tensor, i: int) -> Tensor:
     return _result(m.data[i], (m,), _row_bw, i)
 
 
-def rows(m: Tensor, ids: Sequence[int] | slice) -> Tensor:
+def rows(m: Tensor, ids) -> Tensor:
     """Rows ``ids`` of a 2-D tensor, in order and with repeats allowed: a
-    (len(ids), columns) matrix. A slice of rows shares the matrix's memory."""
+    (len(ids), columns) matrix, or for an array of ids one row per id, of
+    shape ``ids.shape + (columns,)``. A slice of rows shares the matrix's
+    memory."""
     if isinstance(ids, slice):
         if m.data.ndim != 2:
             raise ShapeError(f"rows: need a 2-D tensor, got {m.shape}")
         return _result(m.data[ids], (m,), _rows_bw, ids)
     idx = np.asarray(ids, dtype=np.intp)
-    if m.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"rows: need a 2-D tensor and 1-D ids, got {m.shape}, {idx.shape}")
+    if m.data.ndim != 2 or idx.ndim == 0:
+        raise ShapeError(f"rows: need a 2-D tensor and an array of ids, got {m.shape}, "
+                         f"{idx.shape}")
     return _result(m.data[idx], (m,), _rows_bw, idx)
 
 
@@ -714,34 +726,39 @@ def _lstm_cell(a: np.ndarray, c: np.ndarray, gates: np.ndarray, cell: np.ndarray
 
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor:
-    """T LSTM steps over the rows of ``x`` (T, n) from the states ``h0`` and
-    ``c0`` (d,), as one traced op; returns the (T + 1, d) matrix
-    ``[h_1 .. h_T; c_T]``, which for one step is ``[h; c]``.
+    """T LSTM steps of B sequences as one traced op, from the states ``h0``
+    and ``c0`` (B, d), or (d,) for one, over the inputs ``x`` (T * B, n),
+    row ``t * B + b`` for sequence b at step t. Returns the ((T + 1) * B, d)
+    matrix ``[h_1 .. h_T; c_T]`` in that row order; for one step, ``[h; c]``.
 
     ``weights`` is the twelve tensors of ``bind_lstm_gates``. A gate's
     pre-activation at step t is ``W @ x_t + b + U @ h_{t-1}``;
     ``c_t = f * c_{t-1} + i * u`` and ``h_t = o * tanh(c_t)``. The input
     products of all steps are one matrix product with the stacked W, and
-    each step adds one product with the stacked U.
+    each step adds one product of the (B, d) states with the stacked U. A
+    step past a shorter sequence's end runs on whatever it is fed; when
+    nothing reads it, the gradient it sends back is exactly zero.
     """
     weights = tuple(weights)
     w, u, b = _gate_stacks(weights)
-    if x.data.ndim != 2 or x.data.shape[0] == 0 or h0.data.ndim != 1 \
-            or c0.data.shape != h0.data.shape:
-        raise ShapeError(f"lstm: inputs {x.shape} must be a non-empty 2-D matrix and "
-                         f"hidden {h0.shape} and cell {c0.shape} equal 1-D shapes")
-    steps, d = x.data.shape[0], h0.data.size
-    pre = x.data @ w.T + b
-    gates = np.empty((steps, 4 * d))
-    cells = np.empty((steps + 1, d))
-    tc = np.empty((steps, d))
-    data = np.empty((steps + 1, d))
+    if x.data.ndim != 2 or h0.data.ndim not in (1, 2) or c0.data.shape != h0.data.shape:
+        raise ShapeError(f"lstm: inputs {x.shape} must be a 2-D matrix and hidden "
+                         f"{h0.shape} and cell {c0.shape} equal 1-D or 2-D shapes")
+    batch, d = (1, h0.data.size) if h0.data.ndim == 1 else h0.data.shape
+    steps = x.data.shape[0] // batch
+    if steps == 0 or steps * batch != x.data.shape[0]:
+        raise ShapeError(f"lstm: {x.data.shape[0]} input rows for {batch} sequences")
+    pre = (x.data @ w.T + b).reshape(steps, batch, 4 * d)
+    gates = np.empty((steps, batch, 4 * d))
+    cells = np.empty((steps + 1, batch, d))
+    tc = np.empty((steps, batch, d))
+    data = np.empty((steps + 1, batch, d))
     cells[0] = c0.data
-    h = h0.data
+    h = h0.data.reshape(batch, d)
     for t in range(steps):
-        h = data[t] = _lstm_cell(pre[t] + u @ h, cells[t], gates[t], cells[t + 1], tc[t])
+        h = data[t] = _lstm_cell(pre[t] + h @ u.T, cells[t], gates[t], cells[t + 1], tc[t])
     data[steps] = cells[steps]
-    return _result(data, (x, h0, c0) + weights, _lstm_bw, (gates, cells, tc))
+    return _result(data.reshape(-1, d), (x, h0, c0) + weights, _lstm_bw, (gates, cells, tc))
 
 
 def lstm_rows(x: Tensor, h: Tensor, c: Tensor,

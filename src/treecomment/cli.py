@@ -4,7 +4,8 @@ evaluate, gradcheck.
 Data travels through files (JSONL corpora, tree documents, vocab text files,
 binary checkpoints, CSV logs); logs go to stderr and results to stdout. A
 training run directory carries a manifest (command, config snapshot, seed,
-input digests) sufficient to re-execute the run bit-identically.
+input digests) sufficient to re-execute the run bit-identically, and the
+digests of the files it wrote, which ``generate`` checks.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 numeric
 failure.
@@ -41,6 +42,10 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 # errors are value errors
 DATA_ERRORS = (ValueError, KeyError, OSError)
 
+# the files ``generate`` reads, digested into the manifest when ``train`` ends
+RUN_FILES = ("config.cfg", "vocab.src.txt", "vocab.tgt.txt", "checkpoint.bin",
+             "checkpoint.final.bin")
+
 CSV_COLUMNS = ("step", "mu", "loss_mle", "loss_hrl", "reward_mean",
                "dev_bleu4", "dev_rouge2", "dev_rougeL")
 
@@ -56,6 +61,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
     return value
 
 
@@ -100,14 +112,29 @@ def write_manifest(run_dir: Path, command: str, config_text: str, seed: int,
     return path
 
 
-def finish_manifest(path: Path, exit_code: int) -> None:
+def finish_manifest(path: Path, exit_code: int, outputs: list[Path] = ()) -> None:
     """Stamp the end time and the outcome: status ``ok`` for exit code 0,
-    ``aborted`` for a numeric abort, ``error`` for any other."""
+    ``aborted`` for a numeric abort, ``error`` for any other. The sha256 of
+    each file of ``outputs`` goes under ``output_digests``, by file name."""
     manifest = json.loads(path.read_text())
     manifest["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     manifest["status"] = {EXIT_OK: "ok", EXIT_NUMERIC: "aborted"}.get(exit_code, "error")
     manifest["exit_code"] = exit_code
+    if outputs:
+        manifest["output_digests"] = {p.name: _sha256(p) for p in outputs}
     path.write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def check_outputs(manifest_path: Path, paths: list[Path]) -> None:
+    """Raise a ValueError naming the first of ``paths`` whose sha256 is not
+    the one the manifest recorded when its run ended."""
+    recorded = json.loads(manifest_path.read_text()).get("output_digests")
+    if recorded is None:
+        raise ValueError(f"{manifest_path} records no digests of the run's files; retrain "
+                         f"the run to generate from it")
+    for path in paths:
+        if recorded.get(path.name) != _sha256(path):
+            raise ValueError(f"{path} is not the file its run wrote: its sha256 differs")
 
 
 def _fmt(value) -> str:
@@ -210,7 +237,8 @@ def cmd_train(args) -> int:
     save_checkpoint(result.store, run_dir / "checkpoint.final.bin")
     result.store.load_snapshot(result.best_params)
     save_checkpoint(result.store, run_dir / "checkpoint.bin")
-    finish_manifest(manifest_path, EXIT_NUMERIC if result.aborted else EXIT_OK)
+    finish_manifest(manifest_path, EXIT_NUMERIC if result.aborted else EXIT_OK,
+                    [run_dir / name for name in RUN_FILES])
     if result.aborted:
         print(f"training aborted: {result.abort_reason}; last good parameters kept",
               file=sys.stderr)
@@ -239,18 +267,21 @@ def _read_generate_inputs(args) -> list[Example]:
 
 def cmd_generate(args) -> int:
     run_dir = Path(args.run_dir)
+    manifest_path = run_dir / "manifest.json"
+    checkpoint = run_dir / ("checkpoint.final.bin" if args.checkpoint == "final"
+                            else "checkpoint.bin")
+    # serve only the files the run wrote: an edited or swapped one would
+    # give other words without any error
+    check_outputs(manifest_path, [run_dir / name for name in RUN_FILES[:3]] + [checkpoint])
     cfg = config_from_text((run_dir / "config.cfg").read_text())
     src_vocab = Vocab.load(run_dir / "vocab.src.txt", cfg.min_freq_source)
     tgt_vocab = Vocab.load(run_dir / "vocab.tgt.txt", cfg.min_freq_target)
-    checkpoint = run_dir / ("checkpoint.final.bin" if args.checkpoint == "final"
-                            else "checkpoint.bin")
     examples = _read_generate_inputs(args)
     if not examples:
         print("no inputs to generate from", file=sys.stderr)
         return EXIT_DATA
     # a model serves only the grammar it was trained on: refuse any other
     # before output instead of serving untrained weights
-    manifest_path = run_dir / "manifest.json"
     trained = json.loads(manifest_path.read_text()).get("grammar")
     if trained is None:
         print(f"{manifest_path} records no grammar; retrain the run to generate from it",
@@ -320,10 +351,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grammar", choices=("wikisql", "atis"), default="wikisql")
-    p.add_argument("--oov-fraction", type=float, default=0.5)
+    p.add_argument("--oov-fraction", type=_fraction, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

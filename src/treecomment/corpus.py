@@ -200,6 +200,8 @@ def generate_synthetic(n: int, seed: int, grammar: str = "wikisql",
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= oov_fraction <= 1.0:  # NaN fails too
+        raise ValueError(f"oov_fraction must lie in [0, 1], got {oov_fraction}")
     if grammar not in ("wikisql", "atis"):
         raise ValueError(f"no synthetic templates for grammar {grammar!r}")
     rng = np.random.default_rng([seed, 0xC0DE])

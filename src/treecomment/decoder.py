@@ -11,26 +11,26 @@ A copy emits the node's entire (lower-cased) token sequence as one action;
 the last emitted token feeds the next recurrence step. When no node is
 copyable at all, the operation is forced to "generate" with probability one.
 
-Attention and the three heads are written once for a hidden state of shape
-(d,) or a (T, d) matrix of them (``heads``). Decoding chooses each step's
-input from the last step's output, so it runs ``step`` in one loop,
-``_rollout``, which records nothing and serves greedy and sampled decoding
-through an argmax or a Gumbel-Max chooser. The loop decodes a chunk of
-trees in lockstep: each ``step`` runs one LSTM cell over the (rows, d)
-states of the trees still decoding and the heads once over those rows. The
-rows share the chunk's concatenated node matrix; per-row masks keep each
-row's attention and copying to its own tree's nodes, and each row has its
-own decay row and makes its own choices. A row stops at EOS or after
-``max_len`` steps and leaves the live rows. ``decode_greedy_batch`` decodes
-a chunk this way; ``decode_greedy`` and ``decode_sample`` are chunks of one
-tree through the same step, which owns every node and so attends without a
-mask. The masked softmax normalizes a row the same way under a shared or a
-per-row mask, so a lone tree's floats equal single-tree decoding bit for
-bit. Wherever every input of every step is known up front,
-``teacher_forced`` runs the LSTM over all T positions as one op and the
-heads once over the T rows. It scores a target for the likelihood, and
-``score_trajectory`` reads the traced log-probabilities of a sampled
-trajectory off it for the policy gradient.
+Attention and the three heads are written once (``heads``) for a hidden
+state (d,) or a matrix of them. Attention and copy scoring read node states
+in one form with two layouts (``autodiff.block_matmul``): one node matrix
+for every row, or a stack of node blocks, one per equal run of rows.
+Decoding chooses each step's input from the last step's output, so it runs
+``step`` in one unrecorded loop, ``_rollout``, for greedy and sampled
+decoding (an argmax or a Gumbel-Max chooser). The loop decodes a chunk of
+trees in lockstep: one LSTM cell over the (rows, d) states of the trees
+still decoding and the heads once over those rows, which share the chunk's
+concatenated node matrix, one block; per-row masks keep each row to its
+own tree's nodes, and each row has its own decay row and choices. A row
+stops at EOS or after ``max_len`` steps. ``decode_greedy`` and
+``decode_sample`` are chunks of one tree, which owns every node and so
+attends without a mask; the masked softmax normalizes a row the same way
+under any mask layout, so a lone tree's floats equal single-tree decoding
+bit for bit. Wherever every input is known up front, ``teacher_forced``
+scores many sequences (``KnownSequence``: a likelihood target or a sampled
+trajectory) in one pass: one LSTM op runs them side by side, padded to the
+longest, and the heads run once over all their rows, each sequence
+attending over its own node block, padded to the widest tree.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import BOS, EOS, Vocab, copyable_nodes, node_surface
-from .encoder import EncoderOutput
+from .corpus import BOS, EOS, PAD, Vocab, copyable_nodes, node_surface
+from .encoder import EncoderOutput, Forest
 from .params import ParamStore
 from .trees import Grammar, TokenTypeTree
 
@@ -87,6 +87,18 @@ class StepOutput:
     gen_probs: Tensor
     copy_probs: Tensor | None    # None when copying is infeasible at every row;
                                  # an infeasible row is all zero
+    steps: np.ndarray | None = None  # teacher forcing: the row of every step of
+                                     # every sequence, in turn
+
+
+@dataclass
+class KnownSequence:
+    """A decoder input sequence known before its first step, over tree
+    ``tree`` of a forest: step t is fed ``prev_ids[t]`` (BOS first) and sees
+    the decay row ``decay[t]`` over the tree's nodes."""
+    tree: int
+    prev_ids: list[int]
+    decay: np.ndarray            # (steps, nodes)
 
 
 @dataclass
@@ -144,12 +156,6 @@ class TreeDecoder:
         return DecoderState(hidden=encoder_output.root_hidden,
                             cell=Tensor(np.zeros(d)), decay=np.zeros(len(tree)))
 
-    def _lstm(self, hidden: Tensor, cell: Tensor, prev_token_ids: list[int]) -> Tensor:
-        """The LSTM over the embeddings of ``prev_token_ids`` from (hidden,
-        cell): rows ``[h_1 .. h_T; c_T]``."""
-        x = ad.rows(self.embed, prev_token_ids)
-        return ad.lstm(x, hidden, cell, self.lstm_weights)
-
     def recurrence(self, hidden: Tensor, cell: Tensor,
                    prev_token_id: int | Sequence[int]) -> tuple[Tensor, Tensor]:
         """One LSTM cell over the embedding of the previously emitted token.
@@ -158,16 +164,17 @@ class TreeDecoder:
         if hidden.data.ndim == 2:
             return ad.lstm_rows(ad.rows(self.embed, prev_token_id), hidden, cell,
                                 self.lstm_weights)
-        state = self._lstm(hidden, cell, [prev_token_id])
+        state = ad.lstm(ad.rows(self.embed, [prev_token_id]), hidden, cell, self.lstm_weights)
         return ad.row(state, 0), ad.row(state, 1)
 
-    def attend(self, hidden: Tensor, node_matrix: Tensor,
+    def attend(self, hidden: Tensor, nodes: Tensor,
                own: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        """Dot-product attention over node states; returns (weights, vector),
-        one row each per row of ``hidden``. ``own``, when given, holds one
-        mask row per row of ``hidden``: the nodes that row attends over."""
-        weights = ad.softmax(ad.linear(hidden, node_matrix), keep=own)
-        pooled = ad.matmul(weights, node_matrix)
+        """Dot-product attention over node states ``nodes``, one matrix or a
+        stack of blocks (``autodiff.block_matmul``); returns (weights,
+        vector), one row each per row of ``hidden``. ``own``, when given,
+        holds one mask row per row: the nodes that row attends over."""
+        weights = ad.softmax(ad.block_matmul(hidden, nodes, transpose=True), keep=own)
+        pooled = ad.block_matmul(weights, nodes)
         vector = ad.tanh(ad.linear(ad.concat([pooled, hidden]), self.attn_w))
         return weights, vector
 
@@ -187,44 +194,44 @@ class TreeDecoder:
                                            self.config.generate_only)]] = True
         return keep
 
-    def copy_distribution(self, attn_vector: Tensor, node_matrix: Tensor,
+    def copy_distribution(self, attn_vector: Tensor, nodes: Tensor,
                           keep: np.ndarray, decay: np.ndarray) -> Tensor | None:
         """Masked softmax of node scores, damped by (1 - decay), renormalized.
 
-        ``decay`` has one row per row of ``attn_vector``, and ``keep`` is
-        one mask shared by every row or one mask row per row. The damped rows
-        are renormalized so training sees a true distribution (argmax
-        decoding is unaffected by the rescaling); a row every node of which
-        is masked or fully decayed is all zero, and callers must force the
-        generate branch there. Returns None when nothing is kept, or when
-        every row is fully decayed.
+        ``nodes`` is as ``attend`` takes it; ``decay`` has one row per row of
+        ``attn_vector``, and ``keep`` is one mask shared by every row or one
+        mask row per row. The damped rows are renormalized so training sees
+        a true distribution (argmax decoding is unaffected by the
+        rescaling); a row every node of which is masked or fully decayed is
+        all zero, and callers must force the generate branch there. Returns
+        None when nothing is kept, or when every row is fully decayed.
         """
         if not keep.any():
             return None
-        base = ad.softmax(ad.linear(attn_vector, node_matrix), keep=keep)
+        base = ad.softmax(ad.block_matmul(attn_vector, nodes, transpose=True), keep=keep)
         if not self.config.use_decay or not decay.any():
             return base
         damped, dead = ad.damp(base, decay)
         return None if dead.all() else damped
 
-    def heads(self, hidden: Tensor, node_matrix: Tensor, keep: np.ndarray,
+    def heads(self, hidden: Tensor, nodes: Tensor, keep: np.ndarray,
               decay: np.ndarray, own: np.ndarray | None = None) -> StepOutput:
         """Attention and the three distributions for a hidden state (d,) and
-        its decay (nodes,), or for a (T, d) matrix of them and a (T, nodes)
-        decay matrix. Rows of different trees share the columns of one node
-        matrix through per-row masks: ``own`` says which nodes each row
-        attends over, and ``keep`` which it may copy."""
-        weights, vector = self.attend(hidden, node_matrix, own)
+        its decay (nodes,), or for a (rows, d) matrix of them and a (rows,
+        nodes) decay matrix, over ``nodes`` as ``attend`` takes them. ``own``
+        says which nodes each row attends over, and ``keep`` which it may
+        copy."""
+        weights, vector = self.attend(hidden, nodes, own)
         gen_probs = self.generation_distribution(vector)
         if self.config.generate_only:
             op_probs, copy_probs = None, None
         else:
             op_probs = self.operation_distribution(vector)
-            copy_probs = self.copy_distribution(vector, node_matrix, keep, decay)
+            copy_probs = self.copy_distribution(vector, nodes, keep, decay)
         return StepOutput(attn_weights=weights, attn_vector=vector, op_probs=op_probs,
                           gen_probs=gen_probs, copy_probs=copy_probs)
 
-    def step(self, state: DecoderState, node_matrix: Tensor, keep: np.ndarray,
+    def step(self, state: DecoderState, nodes: Tensor, keep: np.ndarray,
              prev_token_id: int | Sequence[int],
              own: np.ndarray | None = None) -> tuple[DecoderState, StepOutput]:
         """One decoding step of one tree, or of every row of a lockstep state
@@ -232,21 +239,40 @@ class TreeDecoder:
         takes them; recording nothing)."""
         hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
         new_state = DecoderState(hidden=hidden, cell=cell, decay=state.decay)
-        return new_state, self.heads(hidden, node_matrix, keep, state.decay, own)
+        return new_state, self.heads(hidden, nodes, keep, state.decay, own)
 
-    def teacher_forced(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
-                       prev_token_ids: list[int], decay: np.ndarray) -> StepOutput:
-        """Every step of a known target at once.
-
-        Step t (from 0) is fed ``prev_token_ids[t]`` (BOS first) and sees the
-        decay row ``decay[t]``; each output has one row per step, equal to
-        what ``step`` returns from the same inputs up to summation order.
-        """
-        start = self.initial_state(encoder_output, tree)
-        states = self._lstm(start.hidden, start.cell, prev_token_ids)
-        hidden = ad.rows(states, range(len(prev_token_ids)))
-        return self.heads(hidden, encoder_output.hidden, self.copy_keep_mask(tree),
-                          decay)
+    def teacher_forced(self, forest: Forest, sequences: Sequence[KnownSequence]) -> StepOutput:
+        """Every step of many known sequences in one pass: step t of sequence
+        g is row ``g * T + t`` of each output (listed in ``steps``), T the
+        longest sequence's length, and node columns are tree-local ids,
+        padded to the widest tree. Padding is computed but must not be read.
+        Each row equals what ``step`` returns from the same inputs up to
+        summation order."""
+        trees = [forest.trees[s.tree] for s in sequences]
+        lengths = np.array([len(s.prev_ids) for s in sequences])
+        sizes = np.array([len(tree) for tree in trees])
+        base = np.array([forest.offsets[s.tree] for s in sequences])
+        count, width, columns = len(sequences), lengths.max(), np.arange(sizes.max())
+        own = columns < sizes[:, None]
+        # a padded column reads its block's first node, which no row attends to
+        nodes = ad.rows(forest.states, base[:, None] + np.where(own, columns, 0))
+        roots = ad.rows(forest.states, base + [tree.root for tree in trees])
+        fed = np.full((width, count), PAD)
+        keep = np.zeros((count, width, len(columns)), dtype=bool)
+        decay = np.zeros(keep.shape)
+        for g, (s, tree) in enumerate(zip(sequences, trees)):
+            fed[:lengths[g], g] = s.prev_ids
+            keep[g, :, :len(tree)] = self.copy_keep_mask(tree)
+            decay[g, :lengths[g], :len(tree)] = s.decay
+        states = ad.lstm(ad.rows(self.embed, fed.ravel()), roots,
+                         Tensor(np.zeros((count, self.config.hidden_size))), self.lstm_weights)
+        # the LSTM's rows run step by step; the heads' sequence by sequence
+        hidden = ad.rows(states, (np.arange(width) * count + np.arange(count)[:, None]).ravel())
+        out = self.heads(hidden, nodes, keep.reshape(-1, len(columns)),
+                         decay.reshape(-1, len(columns)),
+                         None if own.all() else np.repeat(own, width, axis=0))
+        out.steps = np.flatnonzero(np.arange(width) < lengths[:, None])
+        return out
 
     def decay_rows(self, resets: Sequence[Sequence[int]], num_nodes: int) -> np.ndarray:
         """The (len(resets) + 1, nodes) decay matrix the steps of a known
@@ -259,32 +285,42 @@ class TreeDecoder:
                 decay[t + 1] = decay_update(decay[t], list(nodes), self.config.decay_factor)
         return decay
 
-    def score_trajectory(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
-                         trajectory: Trajectory) -> tuple[Tensor, Tensor]:
-        """Traced (log p(op), log p(word)) of every step of a decoded
-        trajectory, as two (T,) vectors from one ``teacher_forced`` pass.
-
-        The pass is fed BOS, then the last token of each step but the final
-        one, and sees the decay decoding saw: each copy resets its node and
-        a generate step only decays. log p(op) is exactly 0 on a step whose
-        operation was forced. Each entry equals the step's recorded
-        log-probability up to summation order.
-        """
+    def replay(self, forest: Forest, tree: int, trajectory: Trajectory) -> KnownSequence:
+        """The known sequence that rescores a trajectory decoded from tree
+        ``tree`` of ``forest``: fed BOS, then the last token of each step
+        but the final one, and seeing the decay decoding saw, where each
+        copy resets its node and a generate step only decays."""
         steps = trajectory.steps
-        prev_ids = [BOS] + [self._prev_id(s.tokens[-1]) for s in steps[:-1]]
-        decay = self.decay_rows([[s.choice] if s.action == OP_COPY else []
-                                 for s in steps[:-1]], len(tree))
-        out = self.teacher_forced(encoder_output, tree, prev_ids, decay)
+        return KnownSequence(
+            tree=tree, prev_ids=[BOS] + [self._prev_id(s.tokens[-1]) for s in steps[:-1]],
+            decay=self.decay_rows([[s.choice] if s.action == OP_COPY else []
+                                   for s in steps[:-1]], len(forest.trees[tree])))
+
+    def step_logprobs(self, out: StepOutput, rows: np.ndarray,
+                      steps: Sequence[TrajectoryStep]) -> tuple[Tensor, Tensor]:
+        """Traced (log p(op), log p(word)) of each recorded step, step k read
+        off row ``rows[k]`` of teacher-forced outputs; log p(op) is exactly
+        0 on a step whose operation was forced."""
         action = np.array([s.action for s in steps])
         choice = np.array([s.choice for s in steps])
-        gen = np.flatnonzero(action == OP_GEN)
-        p_word = ad.pick(out.gen_probs, gen, choice[gen])
+        gen = action == OP_GEN
+        p_word = ad.pick(out.gen_probs, rows[gen], choice[gen])
         if out.copy_probs is None:  # generate-only, or nothing copyable
-            return Tensor(np.zeros(len(steps))), ad.log(p_word)
-        copy = np.flatnonzero(action == OP_COPY)
-        p_word = ad.add(p_word, ad.pick(out.copy_probs, copy, choice[copy]))
-        chose = np.flatnonzero(out.copy_probs.data.any(axis=1))
-        return ad.pick(ad.log(out.op_probs), chose, action[chose]), ad.log(p_word)
+            return Tensor(np.zeros(len(steps))), ad.log(ad.take(p_word, rows))
+        p_word = ad.add(p_word, ad.pick(out.copy_probs, rows[~gen], choice[~gen]))
+        chose = np.flatnonzero(out.copy_probs.data[rows].any(axis=1))
+        logp_op = ad.pick(ad.log(ad.rows(out.op_probs, rows)), chose, action[chose])
+        return logp_op, ad.log(ad.take(p_word, rows))
+
+    def score_trajectory(self, forest: Forest,
+                         trajectories: Sequence[Trajectory]) -> tuple[Tensor, Tensor]:
+        """Traced (log p(op), log p(word)) of every step of trajectories,
+        trajectory i decoded from tree i of ``forest``, in turn, from one
+        ``teacher_forced`` pass; each equals the recorded float up to
+        summation order."""
+        sequences = [self.replay(forest, i, traj) for i, traj in enumerate(trajectories)]
+        out = self.teacher_forced(forest, sequences)
+        return self.step_logprobs(out, out.steps, [s for t in trajectories for s in t.steps])
 
     # decoding -------------------------------------------------------------------
 

@@ -10,15 +10,16 @@ Absent children are treated as zero-state padding: their recurrent terms and
 forget contributions vanish identically, so the corresponding products are
 simply skipped rather than materialized.
 
-``encode_batch`` encodes the trees of a batch together: one
+``encode_forest`` encodes the trees of a batch together: one
 ``autodiff.embedding_means`` op gives every node's input and one
 ``autodiff.tree_lstm`` op every node's state, by a plan that keys each
 gate's weights by integer codes of (gate, type) and (gate, k, slot, child
 type). Codes name the tensor a lookup resolves to, so an untyped tree and a
 type-changed variant get the same plan and run identical ops. A code
 resolves through a table on the encoder, so the store sees each tensor
-once per encoder, and parameters keep their per-gate names. Each tree's
-output is a view of its rows of the result.
+once per encoder, and parameters keep their per-gate names. The decoder's
+teacher-forced pass reads a batch's node and root states off the forest in
+one op each; ``encode_batch`` gives each tree's states as views of its rows.
 """
 
 from __future__ import annotations
@@ -47,6 +48,23 @@ class EncoderOutput:
     hidden: Tensor       # (nodes, d); row i is node i's hidden state
     cell: Tensor         # (nodes, d), likewise
     root_hidden: Tensor  # (d,)
+
+
+@dataclass
+class Forest:
+    """Trees encoded by one op: ``states`` is the (2N, d) matrix ``[H; C]``
+    of ``autodiff.tree_lstm``, and node v of tree t is row ``offsets[t] + v``
+    of H (its cell is N rows further down)."""
+    trees: list[TokenTypeTree]
+    states: Tensor
+    offsets: list[int]
+
+    def output(self, t: int) -> EncoderOutput:
+        """Tree t's states, as views of the forest's rows."""
+        base, n, size = self.offsets[t], self.offsets[-1], len(self.trees[t])
+        return EncoderOutput(hidden=ad.rows(self.states, slice(base, base + size)),
+                             cell=ad.rows(self.states, slice(n + base, n + base + size)),
+                             root_hidden=ad.row(self.states, base + self.trees[t].root))
 
 
 GATES = "iouf"  # input, output, update, forget
@@ -102,24 +120,25 @@ class TreeEncoder:
         return self.encode_batch([tree])[0]
 
     def encode_batch(self, trees: Sequence[TokenTypeTree]) -> list[EncoderOutput]:
-        """Encode every tree of ``trees`` with one traced ``tree_lstm`` op.
+        """Encode every tree of ``trees`` with one traced ``tree_lstm`` op;
+        each output reads its tree's rows of the forest as views."""
+        forest = self.encode_forest(trees)
+        return [forest.output(t) for t in range(len(forest.trees))]
 
-        Tree t's nodes are rows ``offset_t + id`` of the forest; each output
-        reads its tree's rows back as views of the op's result."""
+    def encode_forest(self, trees: Sequence[TokenTypeTree]) -> Forest:
+        """Every tree of ``trees`` encoded by one traced ``tree_lstm`` op,
+        tree t's nodes at rows ``offset_t + id`` of the forest."""
         trees = list(trees)
         for tree in trees:
             self._check(tree)
         if not trees:
-            return []
+            return Forest(trees=[], states=Tensor(np.zeros((0, self.config.hidden_size))),
+                          offsets=[0])
         offsets = np.cumsum([0] + [len(tree) for tree in trees]).tolist()
         plan, affine, recurrent = self._plan(trees, offsets)
         phi = self.embed_nodes([node.tokens for tree in trees for node in tree.nodes])
-        states = ad.tree_lstm(phi, affine, recurrent, plan)
-        n = offsets[-1]
-        return [EncoderOutput(hidden=ad.rows(states, slice(base, base + len(tree))),
-                              cell=ad.rows(states, slice(n + base, n + base + len(tree))),
-                              root_hidden=ad.row(states, base + tree.root))
-                for tree, base in zip(trees, offsets)]
+        return Forest(trees=trees, states=ad.tree_lstm(phi, affine, recurrent, plan),
+                      offsets=offsets)
 
     def _plan(self, trees, offsets):
         """The forest's ``TreePlan`` and its (W, b) pairs and U weights.

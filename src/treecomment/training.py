@@ -5,15 +5,14 @@ The likelihood marginalizes the copy/generate choice at every target
 position: a position's probability is the generate-branch probability of the
 token plus the copy-branch probability summed over every copyable node whose
 full surface matches the aligned span (a matched multi-token span is consumed
-by one step). Under teacher forcing every decoder input is known before the
-first step, so ``mle_loss`` builds the fed tokens and the decay rows in
-numpy and scores all positions in one ``TreeDecoder.teacher_forced`` pass:
-one LSTM op, then attention, heads and gathers over all rows at once. The
-policy-gradient surrogate is plain REINFORCE over sampled trajectories with
-per-step reward-to-go and an exponential-moving-average baseline. A
-trajectory is sampled without recording, then scored by the same kind of
-pass (``TreeDecoder.score_trajectory``), so its surrogate is one dot product
-of the per-step log-probabilities with the advantages.
+by one step). The policy-gradient surrogate is plain REINFORCE over sampled
+trajectories with per-step reward-to-go and an exponential-moving-average
+baseline. A step encodes its batch with one encoder op, samples every
+example in turn (without recording) where it weighs the surrogate, and then
+scores every likelihood target and every sample, each a known sequence of
+fed tokens and decay rows, in one ``TreeDecoder.teacher_forced`` pass with
+one backward. Each example's loss sums its own rows, so the log keeps
+per-example means. One example is a batch of one.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from . import metrics
 from .autodiff import Tensor
 from .corpus import (BOS, EOS, Example, Vocab, batch_iter, build_vocab, finishing_units,
                      follows, lint_examples, node_surface, source_token_stream, unit_spans)
-from .decoder import OP_COPY, OP_GEN, DecoderConfig, StepOutput, Trajectory, TreeDecoder
-from .encoder import EncoderConfig, EncoderOutput, TreeEncoder
+from .decoder import (OP_COPY, OP_GEN, DecoderConfig, KnownSequence, StepOutput, Trajectory,
+                      TreeDecoder)
+from .encoder import EncoderConfig, EncoderOutput, Forest, TreeEncoder
 from .params import AdamState, ParamStore, adam_step, clip_global_norm
 from .trees import TokenTypeTree, get_grammar
 
@@ -263,14 +263,16 @@ def _teacher_inputs(units: Sequence[TargetUnit], num_nodes: int,
     return prev_ids, decoder.decay_rows(resets, num_nodes)
 
 
-def _unit_probabilities(units: Sequence[TargetUnit], out: StepOutput) -> Tensor:
-    """Operation-marginalized probability of each aligned unit, one per row
-    of the teacher-forced outputs; exactly 0 where no action produces it."""
-    gen = [(t, u.vocab_id) for t, u in enumerate(units) if u.vocab_id is not None]
-    p_gen = ad.pick(out.gen_probs, [t for t, _ in gen], [v for _, v in gen])
+def _unit_probabilities(units: Sequence[TargetUnit], rows: np.ndarray,
+                        out: StepOutput) -> Tensor:
+    """Operation-marginalized probability of each aligned unit, unit k read
+    off row ``rows[k]`` of the teacher-forced outputs; one entry per output
+    row, exactly 0 where no action produces the unit and off its rows."""
+    gen = [k for k, u in enumerate(units) if u.vocab_id is not None]
+    p_gen = ad.pick(out.gen_probs, rows[gen], [units[k].vocab_id for k in gen])
     if out.op_probs is None:  # generate-only
         return p_gen
-    copy_ok = np.zeros(len(units), dtype=bool) if out.copy_probs is None \
+    copy_ok = np.zeros(len(p_gen.data), dtype=bool) if out.copy_probs is None \
         else out.copy_probs.data.any(axis=1)
     ok_rows = np.flatnonzero(copy_ok)
     # the generate branch weighs p(generate) where copying is feasible, and
@@ -279,42 +281,91 @@ def _unit_probabilities(units: Sequence[TargetUnit], out: StepOutput) -> Tensor:
     if not copy_ok.all():
         w_gen = ad.add(w_gen, Tensor((~copy_ok).astype(np.float64)))
     p = ad.mul(w_gen, p_gen)
-    copies = [(t, nid) for t in ok_rows for nid in units[t].node_ids]
+    copies = [(r, nid) for r, u in zip(rows, units) if copy_ok[r] for nid in u.node_ids]
     if copies:
-        copy_rows = sorted({t for t, _ in copies})
+        copy_rows = sorted({r for r, _ in copies})
         w_copy = ad.pick(out.op_probs, copy_rows, np.full(len(copy_rows), OP_COPY))
-        p_copy = ad.pick(out.copy_probs, [t for t, _ in copies], [n for _, n in copies])
+        p_copy = ad.pick(out.copy_probs, [r for r, _ in copies], [n for _, n in copies])
         p = ad.add(p, ad.mul(w_copy, p_copy))
     return p
 
 
-def mle_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
-             encoded: EncoderOutput | None = None, counts: dict | None = None) -> Tensor:
-    """Negative log-likelihood of the comment (plus its end-of-sequence stop)
-    under teacher forcing with marginalized operation selection.
+def _objective(examples: Example | Sequence[Example], encoder: TreeEncoder,
+               decoder: TreeDecoder, forest: Forest | None, mu: float,
+               rng: np.random.Generator | None = None, metric: Reward | None = None,
+               baseline_value: float = 0.0) -> tuple[Tensor, dict]:
+    """The sum over ``examples`` (example i's tree is tree i of ``forest``,
+    made here when None) of mu times the likelihood loss plus 1 - mu times
+    the REINFORCE surrogate, with ``parts`` as ``mixed_loss`` reports them.
+    Where mu < 1, every example is sampled from ``rng`` in turn first."""
+    examples = [examples] if isinstance(examples, Example) else examples
+    if forest is None:
+        forest = encoder.encode_forest([ex.tree for ex in examples])
+    parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None,
+                   "units": None, "guards": None}
+    sequences, units, trajectories = [], [], []
+    if mu < 1.0:
+        with ad.no_grad():
+            encoded = [forest.output(i) for i in range(len(examples))]
+        trajectories = [decoder.decode_sample(enc, ex.tree, rng)
+                        for enc, ex in zip(encoded, examples)]
+    if mu > 0.0:
+        for i, ex in enumerate(examples):
+            units.append(segment_target(ex.comment, ex.tree, decoder))
+            sequences.append(KnownSequence(i, *_teacher_inputs(units[-1], len(ex.tree),
+                                                               decoder)))
+    sequences += [decoder.replay(forest, i, traj) for i, traj in enumerate(trajectories)]
+    out = decoder.teacher_forced(forest, sequences)
+    flat = [u for example_units in units for u in example_units]
+    rows, terms = out.steps, []
+    if units:
+        owner = np.repeat(np.arange(len(units)), [len(u) for u in units])
+        unit_rows = rows[:len(flat)]
+        probs = _unit_probabilities(flat, unit_rows, out)
+        scored = ~(probs.data[unit_rows] <= 0.0)  # a NaN stays in, so the loss shows it
+        for unit in itertools.compress(flat, ~scored):
+            log.warning("unreachable target unit %r (no action assigns it "
+                        "probability); guarding the loss", unit.tokens)
+        logp = ad.log(ad.take(probs, unit_rows[scored]))
+        guards = np.bincount(owner[~scored], minlength=len(units))
+        parts.update(units=len(flat), guards=int(guards.sum()), loss_mle=(
+            -(np.bincount(owner[scored], logp.data, len(units)) + guards * GUARD_LOGP)).tolist())
+        likelihood = ad.mul(ad.sumall(logp), -1.0)
+        if guards.any():
+            likelihood = ad.add(likelihood, Tensor(np.asarray(-guards.sum() * GUARD_LOGP)))
+        terms.append(likelihood if mu == 1.0 else ad.mul(likelihood, mu))
+    if trajectories:
+        owner = np.repeat(np.arange(len(trajectories)), [len(t.steps) for t in trajectories])
+        per_step = [step_rewards(traj, ex.comment, metric)
+                    for traj, ex in zip(trajectories, examples)]
+        # the REINFORCE multiplier: reward-to-go minus the baseline
+        advantage = np.concatenate([np.cumsum(r[::-1])[::-1] for r in per_step]) \
+            - baseline_value
+        logp = ad.add(*decoder.step_logprobs(out, rows[len(flat):],
+                                             [s for traj in trajectories for s in traj.steps]))
+        parts.update(reward=[float(r.sum()) for r in per_step], loss_hrl=np.bincount(
+            owner, logp.data * -advantage, len(trajectories)).tolist())
+        surrogate = ad.dot(logp, Tensor(-advantage))
+        terms.append(surrogate if mu == 0.0 else ad.mul(surrogate, 1.0 - mu))
+    return (terms[0] if len(terms) == 1 else ad.add(*terms)), parts
 
-    ``encoded`` is the example's encoding when the caller already has it.
-    ``counts``, when given, receives the number of target ``units`` and of
-    ``guards``, the units no action can produce, which took the loss
-    guard."""
-    tree = example.tree
-    enc = encoder.encode(tree) if encoded is None else encoded
-    units = segment_target(example.comment, tree, decoder)
-    prev_ids, decay = _teacher_inputs(units, len(tree), decoder)
-    probs = _unit_probabilities(units, decoder.teacher_forced(enc, tree, prev_ids, decay))
-    scored = ~(probs.data <= 0.0)  # a NaN stays in, so the loss shows it
-    for unit in itertools.compress(units, ~scored):
-        log.warning("unreachable target unit %r (no action assigns it "
-                    "probability); guarding the loss", unit.tokens)
-    if not scored.all():
-        probs = ad.take(probs, np.flatnonzero(scored))
-    total = ad.sumall(ad.log(probs))
-    guards = len(units) - int(scored.sum())
-    if counts is not None:
-        counts.update(units=len(units), guards=guards)
-    if guards:
-        total = ad.add(total, Tensor(np.asarray(guards * GUARD_LOGP)))
-    return ad.mul(total, -1.0)
+
+def mle_loss(examples: Example | Sequence[Example], encoder: TreeEncoder,
+             decoder: TreeDecoder, forest: Forest | None = None,
+             parts: dict | None = None) -> Tensor:
+    """Negative log-likelihood of each comment (plus its end-of-sequence
+    stop) under teacher forcing with marginalized operation selection,
+    summed over a batch of examples; one example is a batch of one. Every
+    target is scored in one teacher-forced pass.
+
+    ``forest`` is the batch's encoding when the caller already has it.
+    ``parts``, when given, receives the per-example losses (``loss_mle``),
+    the number of target ``units`` and of ``guards``, the units no action
+    can produce, which took the loss guard."""
+    loss, got = _objective(examples, encoder, decoder, forest, 1.0)
+    if parts is not None:
+        parts.update(got)
+    return loss
 
 
 # --- policy gradient ----------------------------------------------------------
@@ -345,23 +396,18 @@ def step_rewards(trajectory: Trajectory, reference: Sequence[str],
 def hrl_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
              rng: np.random.Generator, metric: Reward,
              baseline_value: float = 0.0,
-             encoded: EncoderOutput | None = None) -> tuple[Tensor, float]:
+             forest: Forest | None = None) -> tuple[Tensor, float]:
     """REINFORCE surrogate for one sampled trajectory.
 
     Returns (surrogate, total_reward); the surrogate's gradient is the
     score-function estimate of the negative expected-reward gradient, with
     per-step reward-to-go minus the baseline as the multiplier. The sample
     is drawn without recording and scored in one teacher-forced pass.
-    ``encoded`` is the example's encoding when the caller already has it.
+    ``forest`` is the example's encoding when the caller already has it.
     """
-    tree = example.tree
-    enc = encoder.encode(tree) if encoded is None else encoded
-    trajectory = decoder.decode_sample(enc, tree, rng)
-    per_step = step_rewards(trajectory, example.comment, metric)
-    to_go = np.cumsum(per_step[::-1])[::-1]
-    logp_op, logp_word = decoder.score_trajectory(enc, tree, trajectory)
-    surrogate = ad.dot(ad.add(logp_op, logp_word), Tensor(-(to_go - baseline_value)))
-    return surrogate, float(per_step.sum())
+    surrogate, parts = _objective(example, encoder, decoder, forest, 0.0, rng, metric,
+                                  baseline_value)
+    return surrogate, parts["reward"][0]
 
 
 # --- mixed objective -----------------------------------------------------------
@@ -379,34 +425,26 @@ def mle_weight(step: int, total_steps: int, mle_only: bool = False) -> float:
     return 1.0 - step / total_steps
 
 
-def mixed_loss(example: Example, encoder: TreeEncoder, decoder: TreeDecoder,
-               step: int, cfg: TrainConfig, rng: np.random.Generator,
-               baseline: Baseline,
-               encoded: EncoderOutput | None = None) -> tuple[Tensor, dict]:
-    """The step's mix of likelihood and REINFORCE surrogate for one example.
-    ``encoded`` is the example's encoding when the caller already has it;
-    one encoding serves both objectives. ``parts`` reports each objective's
-    value and, where the likelihood was computed, its target ``units`` and
+def mixed_loss(examples: Example | Sequence[Example], encoder: TreeEncoder,
+               decoder: TreeDecoder, step: int, cfg: TrainConfig,
+               rng: np.random.Generator, baseline: Baseline,
+               forest: Forest | None = None) -> tuple[Tensor, dict]:
+    """The step's mix of likelihood and REINFORCE surrogate, averaged over a
+    batch of examples; one example is a batch of one. Every example is
+    sampled first, in turn, then the likelihood targets and the samples are
+    scored in one teacher-forced pass. ``forest`` is the batch's encoding
+    when the caller already has it. ``parts`` reports each objective's
+    per-example values and, with the likelihood, its target ``units`` and
     loss ``guards`` (see ``mle_loss``); an absent objective reads None."""
     mu = mle_weight(step, cfg.total_steps, cfg.mle_only)
-    metric = reward_function(cfg.reward_metric)
-    parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None,
-                   "units": None, "guards": None}
-    if encoded is None:
-        encoded = encoder.encode(example.tree)
-    if mu == 1.0:
-        loss = mle_loss(example, encoder, decoder, encoded=encoded, counts=parts)
-        parts["loss_mle"] = float(loss.data)
-        return loss, parts
-    surrogate, reward = hrl_loss(example, encoder, decoder, rng, metric, baseline.value,
-                                 encoded=encoded)
-    parts["loss_hrl"] = float(surrogate.data)
-    parts["reward"] = reward
-    if mu == 0.0:
-        return surrogate, parts
-    likelihood = mle_loss(example, encoder, decoder, encoded=encoded, counts=parts)
-    parts["loss_mle"] = float(likelihood.data)
-    return ad.add(ad.mul(likelihood, mu), ad.mul(surrogate, 1.0 - mu)), parts
+    batch = [examples] if isinstance(examples, Example) else examples
+    if mu == 1.0:  # through ``mle_loss``, so a profile of the step names it
+        parts = {}
+        loss = mle_loss(batch, encoder, decoder, forest, parts)
+    else:
+        loss, parts = _objective(batch, encoder, decoder, forest, mu, rng,
+                                 reward_function(cfg.reward_metric), baseline.value)
+    return ad.mul(loss, 1.0 / len(batch)), parts
 
 
 # --- evaluation helpers ---------------------------------------------------------
@@ -535,30 +573,17 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
         for batch in batch_iter(train_examples, cfg.batch_size, epoch, cfg.seed):
             if step >= cfg.total_steps:
                 break
-            total: Tensor | None = None
-            mle_vals, hrl_vals, rewards = [], [], []
-            units = guards = 0
-            # one encoder op for the whole batch
-            encoded = encoder.encode_batch([ex.tree for ex in batch.examples])
-            for ex, enc in zip(batch.examples, encoded):
-                loss, parts = mixed_loss(ex, encoder, decoder, step, cfg, rng, baseline,
-                                         encoded=enc)
-                total = loss if total is None else ad.add(total, loss)
-                if parts["loss_mle"] is not None:
-                    mle_vals.append(parts["loss_mle"])
-                if parts["loss_hrl"] is not None:
-                    hrl_vals.append(parts["loss_hrl"])
-                if parts["reward"] is not None:
-                    rewards.append(parts["reward"])
-                if parts["units"] is not None:
-                    units += parts["units"]
-                    guards += parts["guards"]
-            batch_loss = ad.mul(total, 1.0 / len(batch.examples))
+            # one encoder op and one teacher-forced pass for the whole batch
+            forest = encoder.encode_forest([ex.tree for ex in batch.examples])
+            batch_loss, parts = mixed_loss(batch.examples, encoder, decoder, step, cfg, rng,
+                                           baseline, forest)
+            mle_vals, hrl_vals, rewards = (parts[key] or [] for key in
+                                           ("loss_mle", "loss_hrl", "reward"))
             if not np.isfinite(batch_loss.data):
                 result.abort_reason = "non-finite loss"
-            elif guards > GUARD_ABORT_SHARE * units:
-                result.abort_reason = (f"{guards} of {units} likelihood units took "
-                                       f"the loss guard")
+            elif parts["units"] and parts["guards"] > GUARD_ABORT_SHARE * parts["units"]:
+                result.abort_reason = (f"{parts['guards']} of {parts['units']} likelihood "
+                                       f"units took the loss guard")
             if result.aborted:
                 log.error("%s at step %d; aborting with last good parameters",
                           result.abort_reason, step)

@@ -266,7 +266,7 @@ def test_c04_policy_gradient_unbiasedness():
         traj = representative[sig]
         per_step = step_rewards(traj, reference, metric)
         to_go = np.cumsum(per_step[::-1])[::-1]
-        lo, lw = decoder.score_trajectory(encoder.encode(tree), tree, traj)
+        lo, lw = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
         store.zero_grads()
         surrogate = ad.dot(ad.add(lo, lw), Tensor(-to_go))
         surrogate.backward()

@@ -286,6 +286,8 @@ def op_params():
     params["pm"] = leaf(rng.uniform(0.5, 2.0, size=(3, 4)))
     # node inputs of the Tree-LSTM forests, one row per node
     params["phi"] = leaf(rng.normal(size=(7, 4)))
+    # a stack of two node blocks for ``block_matmul``
+    params["blocks"] = leaf(rng.normal(size=(2, 3, 4)))
     # the LSTM reads its gate weights as views of stacked arrays
     ad.bind_lstm_gates(lstm_weights(params))
     return params
@@ -449,6 +451,13 @@ OP_LOSSES = {
     "row": lambda p: weighted(ad.row(p["m"], 1)),
     "rows_repeated": lambda p: weighted(ad.rows(p["table"], [4, 1, 4])),
     "rows_slice": lambda p: weighted(ad.rows(p["table"], slice(1, 4))),
+    "rows_blocks": lambda p: weighted(ad.rows(p["table"], [[4, 1], [4, 0], [2, 4]])),
+    "block_matmul_vector": lambda p: weighted(ad.block_matmul(p["x"], p["pm"], True)),
+    "block_matmul_one_block": lambda p: weighted(ad.block_matmul(p["m"], p["pm"], True)),
+    "block_matmul_one_block_pool": lambda p: weighted(ad.block_matmul(p["pm"], p["n"])),
+    "block_matmul_blocks": lambda p: weighted(ad.block_matmul(p["sq0"], p["blocks"], True)),
+    "block_matmul_blocks_pool": lambda p: weighted(
+        ad.block_matmul(ad.rows(p["table"], [0, 4, 2, 1]), p["blocks"])),
     "linear_vector": lambda p: weighted(ad.linear(p["x"], p["w"])),
     "linear_matrix": lambda p: weighted(ad.linear(p["m"], p["w"])),
     "matmul_vector_left": lambda p: weighted(ad.matmul(p["x"], p["n"])),
@@ -472,6 +481,10 @@ FUSED_LOSSES = {
                                             lstm_weights(p))),
     "lstm_steps": lambda p: weighted(ad.lstm(ad.rows(p["m"], [2, 0, 2, 1]), p["y"],
                                              p["pos"], lstm_weights(p))),
+    "lstm_batch": lambda p: weighted(ad.lstm(ad.rows(p["m"], [2, 0, 1, 1, 0, 2]),
+                                             ad.stack_rows([p["y"], p["x"]]),
+                                             ad.stack_rows([p["pos"], p["y"]]),
+                                             lstm_weights(p))),
     "tree_lstm_node_leaf": lambda p: weighted(forest(p, FORESTS["leaves"])),
     "tree_lstm_node_arity3": lambda p: weighted(forest(p, FORESTS["arity3"])),
     "tree_lstm_node_shared": lambda p: weighted(forest(p, FORESTS["arity3"], shared=True)),
@@ -508,6 +521,110 @@ def test_each_fused_cell_matches_finite_differences(op):
     err = finite_difference_check(lambda: FUSED_LOSSES[op](params), used,
                                   epsilon=1e-3, order=4, max_coords_per_param=16)
     assert err < 1e-6, f"{op}: {err}"
+
+
+# sequences of every length from 1 to STEPS, run side by side by ``lstm``,
+# and the (step, sequence) of each row a loss reads, in the op's row order
+LENGTHS = (3, 1, 4, 2)
+STEPS, BATCH = max(LENGTHS), len(LENGTHS)
+REAL = [(t, b) for t in range(STEPS) for b, n in enumerate(LENGTHS) if t < n]
+
+
+class TestBatchedLstm:
+    """``lstm`` runs B sequences of lengths 1 to T side by side over T steps;
+    a step past a sequence's end is padding that nothing reads."""
+
+    @classmethod
+    def params(cls):
+        """Gate weights, one input row per (step, sequence), padding
+        included, and the B start states."""
+        p = op_params()
+        rng = np.random.default_rng(9)
+        p["inputs"] = leaf(rng.normal(size=(STEPS * BATCH, 4)))
+        p["h0"] = leaf(rng.normal(size=(BATCH, 4)))
+        p["c0"] = leaf(rng.normal(size=(BATCH, 4)))
+        return p
+
+    def batched(self, p):
+        out = ad.lstm(p["inputs"], p["h0"], p["c0"], lstm_weights(p))
+        return ad.rows(out, [t * BATCH + b for t, b in REAL])
+
+    def alone(self, p):
+        """Each sequence through its own one-sequence op, rows as ``batched``."""
+        outs = [ad.lstm(ad.rows(p["inputs"], [t * BATCH + b for t in range(n)]),
+                        ad.row(p["h0"], b), ad.row(p["c0"], b), lstm_weights(p))
+                for b, n in enumerate(LENGTHS)]
+        return ad.stack_rows([ad.row(outs[b], t) for t, b in REAL])
+
+    def test_matches_finite_differences(self):
+        p = self.params()
+        used = used_params(p, weighted(self.batched(p)))
+        assert {"inputs", "h0", "c0", "sq0", "sq1", "vec0"} <= set(used)
+        err = finite_difference_check(lambda: weighted(self.batched(p)), used,
+                                      epsilon=1e-3, order=4, max_coords_per_param=16)
+        assert err < 1e-6, err
+
+    def test_equals_each_sequence_alone_and_pads_take_no_gradient(self):
+        batched, alone = self.params(), self.params()
+        out, want = self.batched(batched), self.alone(alone)
+        assert np.allclose(out.data, want.data, rtol=0.0, atol=1e-14)
+        weighted(out).backward()
+        weighted(want).backward()
+        padded = np.ones(STEPS * BATCH, dtype=bool)
+        padded[[t * BATCH + b for t, b in REAL]] = False
+        # a padded step's input takes exactly zero gradient
+        assert padded.sum() == 6
+        assert np.array_equal(batched["inputs"].grad[padded], np.zeros((6, 4)))
+        for name, t in batched.items():
+            if t.grad is not None:
+                assert np.allclose(t.grad, alone[name].grad, rtol=1e-10, atol=1e-15), name
+
+
+class TestBlockMatmul:
+    """``block_matmul`` multiplies equal runs of rows by their own blocks."""
+
+    def test_one_block_is_the_two_dimensional_product_bit_for_bit(self):
+        # lockstep decoding attends over one block: its floats must be those
+        # of ``x @ nodes.T`` and ``weights @ nodes``, the products of the
+        # 2-D form, and a stack of one block must give them too
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            rows, nodes = (int(k) for k in rng.integers(1, 80, size=2))
+            d = int(rng.choice([4, 8, 16, 32, 64]))
+            x, m = rng.normal(size=(rows, d)), rng.normal(size=(nodes, d))
+            w = rng.random((rows, nodes))
+            for block in (m, m[None]):
+                assert np.array_equal(ad.block_matmul(Tensor(x), Tensor(block), True).data,
+                                      x @ m.T)
+                assert np.array_equal(ad.block_matmul(Tensor(w), Tensor(block)).data, w @ m)
+
+    def test_blocks_equal_per_block_products(self):
+        rng = np.random.default_rng(13)
+        x, m = rng.normal(size=(6, 4)), rng.normal(size=(3, 5, 4))
+        out = ad.block_matmul(Tensor(x), Tensor(m), True).data
+        for g in range(3):
+            assert np.array_equal(out[2 * g:2 * g + 2], x[2 * g:2 * g + 2] @ m[g].T)
+        w = rng.random((6, 5))
+        out = ad.block_matmul(Tensor(w), Tensor(m)).data
+        for g in range(3):
+            assert np.array_equal(out[2 * g:2 * g + 2], w[2 * g:2 * g + 2] @ m[g])
+        with pytest.raises(ShapeError):  # 7 rows do not split into 3 runs
+            ad.block_matmul(Tensor(rng.normal(size=(7, 4))), Tensor(m), True)
+        with pytest.raises(ShapeError):  # inner sizes differ
+            ad.block_matmul(Tensor(w), Tensor(m), True)
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("transpose", [True, False])
+    def test_matches_finite_differences(self, blocks, transpose):
+        rng = np.random.default_rng(14)
+        m = leaf(rng.normal(size=(blocks, 5, 4)) if blocks > 1 else rng.normal(size=(5, 4)))
+        x = leaf(rng.normal(size=(2 * blocks, 4 if transpose else 5)))
+
+        def loss():
+            return weighted(ad.block_matmul(x, m, transpose))
+
+        assert finite_difference_check(loss, {"x": x, "m": m}, epsilon=1e-6,
+                                       max_coords_per_param=30) < 1e-6
 
 
 class TestPrimitiveJacobians:

@@ -94,6 +94,25 @@ class TestSynthAndPreprocess:
         assert len(lines) == 5
         assert all({"code", "lang", "comment"} <= set(json.loads(l)) for l in lines)
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--n", "-3"], "--n"), (["--n", "0"], "--n"),
+        (["--n", "5", "--oov-fraction", "3"], "--oov-fraction"),
+        (["--n", "5", "--oov-fraction", "nan"], "--oov-fraction"),
+        (["--n", "5", "--oov-fraction", "-1"], "--oov-fraction"),
+    ], ids=["n-negative", "n-zero", "fraction-3", "fraction-nan", "fraction-negative"])
+    def test_synth_bad_flag_value_exits_one_naming_the_flag(self, tmp_path, flags, name,
+                                                           capsys):
+        out = tmp_path / "c.jsonl"
+        code, stdout, err = run(["synth", *flags, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert f"argument {name}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", [3.0, float("nan"), -1.0, -1e-9, 1.0 + 1e-9])
+    def test_generate_synthetic_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="oov_fraction"):
+            generate_synthetic(5, seed=0, oov_fraction=fraction)
+
     def test_preprocess_emits_trees_and_vocabs(self, tmp_path, corpus_path, capsys):
         out_dir = tmp_path / "prep"
         code, _, err = run(["preprocess", "--corpus", str(corpus_path),
@@ -282,6 +301,60 @@ class TestTrainGenerateEvaluate:
         assert out == ""
         assert "records no grammar" in err
 
+    def test_manifest_records_the_digest_of_every_file_generate_reads(
+            self, tmp_path, corpus_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert sorted(manifest["output_digests"]) == sorted(cli.RUN_FILES)
+        for name, digest in manifest["output_digests"].items():
+            assert digest == cli._sha256(run_dir / name), name
+        for name in ("log.csv", "checkpoint.bin"):
+            assert b"output_digests" not in (run_dir / name).read_bytes()
+
+    @staticmethod
+    def reverse_target_vocab(run_dir, other):
+        vocab = run_dir / "vocab.tgt.txt"
+        vocab.write_text("\n".join(vocab.read_text().splitlines()[::-1]) + "\n")
+
+    @staticmethod
+    def swap_checkpoint(run_dir, other):
+        # a run of another seed: the same shapes, other values
+        shutil.copy(other / "checkpoint.bin", run_dir / "checkpoint.bin")
+
+    @staticmethod
+    def edit_config(run_dir, other):
+        config = run_dir / "config.cfg"
+        config.write_text(config.read_text().replace("max_decode_len=12", "max_decode_len=3"))
+
+    @pytest.mark.parametrize("tamper", ["reverse_target_vocab", "swap_checkpoint",
+                                        "edit_config"])
+    def test_generate_refuses_a_file_its_run_did_not_write(self, tamper, tmp_path,
+                                                          corpus_path, capsys):
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        assert run(train_args(corpus_path, other, ["--set", "seed=5"]), capsys)[0] == 0
+        generate = ["generate", "--run-dir", str(run_dir), "--input", str(corpus_path)]
+        assert run(generate, capsys)[0] == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        getattr(self, tamper)(run_dir, other)
+        changed = [p.name for p in run_dir.iterdir() if p.read_bytes() != before[p.name]]
+        assert len(changed) == 1
+        code, out, err = run(generate, capsys)
+        assert (code, out) == (2, "")
+        assert f"{changed[0]} is not the file its run wrote" in err
+
+    def test_generate_refuses_manifest_without_digests(self, tmp_path, corpus_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(train_args(corpus_path, run_dir), capsys)[0] == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        del manifest["output_digests"]
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        code, out, err = run(["generate", "--run-dir", str(run_dir),
+                              "--input", str(corpus_path)], capsys)
+        assert (code, out) == (2, "")
+        assert "records no digests" in err
+
     def test_generate_serves_unseen_in_grammar_combinations(self, tmp_path, corpus_path,
                                                             capsys):
         # synthetic SQL has one WHERE condition; a second one needs encoder
@@ -365,10 +438,14 @@ class TestCorruptCheckpoint:
         shutil.copytree(source, run_dir)
         checkpoint = run_dir / "checkpoint.bin"
         checkpoint.write_bytes(CORRUPTIONS[corruption](checkpoint.read_bytes()))
+        # vouch for the corrupt file, so the checkpoint reader must refuse it
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        manifest["output_digests"]["checkpoint.bin"] = cli._sha256(checkpoint)
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
         code, out, err = run(["generate", "--run-dir", str(run_dir),
                               "--input", str(corpus)], capsys)
         assert code == 2, err
-        assert out == "" and "checkpoint" in err
+        assert out == "" and "checkpoint" in err and "is not the file" not in err
 
 
 class TestGradcheckCommand:

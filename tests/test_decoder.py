@@ -5,7 +5,7 @@ from conftest import make_model, random_tree
 from treecomment import autodiff as ad
 from treecomment.autodiff import Tensor
 from treecomment.corpus import BOS, EOS
-from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, decay_update
+from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, KnownSequence, decay_update
 from treecomment.parsers import parse_sql
 from treecomment.trees import Node, TokenTypeTree
 
@@ -360,7 +360,7 @@ class TestSampling:
             tree = random_tree(rng)
             enc = encoder.encode(tree)
             traj = decoder.decode_sample(enc, tree, np.random.default_rng(trial))
-            lo, lw = decoder.score_trajectory(enc, tree, traj)
+            lo, lw = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
             total = float(lo.data.sum() + lw.data.sum())
             assert abs(total - sum(s.logp_op + s.logp_word for s in traj.steps)) < 1e-9
 
@@ -369,7 +369,7 @@ class TestSampling:
         tree = random_tree(np.random.default_rng(7))
         enc = encoder.encode(tree)
         traj = decoder.decode_sample(enc, tree, np.random.default_rng(0))
-        lo, lw = decoder.score_trajectory(enc, tree, traj)
+        lo, lw = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
         assert lo.shape == lw.shape == (len(traj.steps),)
         for rec, op, word in zip(traj.steps, lo.data, lw.data):
             assert abs(rec.logp_op - op) <= 1e-12
@@ -457,8 +457,8 @@ class TestTeacherForced:
                                        ("copy_probs", len(tree)))}
 
             store.zero_grads()
-            enc = encoder.encode(tree)
-            forced = decoder.teacher_forced(enc, tree, prev_ids, decay)
+            forced = decoder.teacher_forced(encoder.encode_forest([tree]),
+                                            [KnownSequence(0, prev_ids, decay)])
             self.probe([(name, getattr(forced, name), w) for name, w in weights.items()
                         if getattr(forced, name) is not None]).backward()
             forced_grads = {name: p.grad.copy() for name, p in store.items()}
@@ -533,7 +533,7 @@ class TestScoreTrajectory:
                 w_op, w_word = rng.normal(size=(2, len(steps)))
 
                 store.zero_grads()
-                lo, lw = decoder.score_trajectory(encoder.encode(tree), tree, traj)
+                lo, lw = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
                 ad.add(ad.dot(lo, Tensor(w_op)), ad.dot(lw, Tensor(w_word))).backward()
                 scored_grads = {name: p.grad.copy() for name, p in store.items()}
 
@@ -567,6 +567,90 @@ class TestScoreTrajectory:
         if not flags.get("generate_only"):
             expected |= {"long_copy", "short_copy", "chosen"}
         assert all(seen[key] for key in expected), seen
+
+
+FIELDS = ("attn_weights", "attn_vector", "op_probs", "gen_probs", "copy_probs")
+FLAGS = [{}, {"generate_only": True}, {"use_mask": False}, {"use_decay": False},
+         {"untyped": True}]
+FLAG_IDS = ["default", "generate_only", "no_mask", "no_decay", "untyped"]
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Equal up to summation order: within ``rtol`` of the larger entry."""
+    scale = max(np.abs(want).max(initial=0.0), np.abs(got).max(initial=0.0), 1e-300)
+    assert np.abs(got - want).max(initial=0.0) <= rtol * scale
+
+
+class TestBatchedPass:
+    """One ``teacher_forced`` pass over many sequences, each attending over
+    its own padded node block, gives each sequence's rows of a pass over it
+    alone, and ``score_trajectory`` of a batch each trajectory's scores."""
+
+    @staticmethod
+    def trees(rng):
+        return [parse_sql("SELECT col FROM t WHERE a = 'Two Words'"),
+                # nothing copyable under the grammar mask
+                TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                              grammar="wikisql"),
+                *(random_tree(rng) for _ in range(4))]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_rows_equal_each_sequence_alone(self, flags):
+        rng = np.random.default_rng(81)
+        _, encoder, decoder = make_model(seed=81, **flags)
+        trees = self.trees(rng)
+        sequences = []
+        for i in [*range(len(trees)), 0, 3]:  # two trees carry two sequences
+            prev_ids, decay = TestTeacherForced.inputs(rng, decoder, trees[i])
+            sequences.append(KnownSequence(i, prev_ids, decay))
+        batch = decoder.teacher_forced(encoder.encode_forest(trees), sequences)
+        width = max(len(s.prev_ids) for s in sequences)
+        for g, seq in enumerate(sequences):
+            n, steps = len(trees[seq.tree]), len(seq.prev_ids)
+            alone = decoder.teacher_forced(encoder.encode_forest([trees[seq.tree]]),
+                                           [KnownSequence(0, seq.prev_ids, seq.decay)])
+            rows = slice(g * width, g * width + steps)
+            for name in FIELDS:
+                got, want = getattr(batch, name), getattr(alone, name)
+                if want is None:
+                    assert got is None or not got.data[rows].any(), name
+                    continue
+                got = got.data[rows]
+                if name in ("attn_weights", "copy_probs"):  # padded columns hold 0
+                    assert not got[:, n:].any(), name
+                    got = got[:, :n]
+                assert_close(got, want.data)
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_scores_equal_each_trajectory_alone(self, flags):
+        rng = np.random.default_rng(82)
+        store, encoder, decoder = make_model(seed=82, **flags)
+        trees = self.trees(rng)
+        trajectories = [decoder.decode_sample(encoder.encode(tree), tree,
+                                              np.random.default_rng(k), max_len=int(k % 5) + 1)
+                        for k, tree in enumerate(trees)]
+        # one ends at max_len
+        assert any((t.steps[-1].action, t.steps[-1].choice) != (OP_GEN, EOS) for t in trajectories)
+        weights = [rng.normal(size=(2, len(t.steps))) for t in trajectories]
+
+        store.zero_grads()
+        lo, lw = decoder.score_trajectory(encoder.encode_forest(trees), trajectories)
+        w_op, w_word = np.concatenate(weights, axis=1)
+        ad.add(ad.dot(lo, Tensor(w_op)), ad.dot(lw, Tensor(w_word))).backward()
+        batch_grads = {name: p.grad.copy() for name, p in store.items()}
+
+        store.zero_grads()
+        start = 0
+        for tree, traj, (a, b) in zip(trees, trajectories, weights):
+            one_op, one_word = decoder.score_trajectory(encoder.encode_forest([tree]), [traj])
+            steps = slice(start, start + len(traj.steps))
+            assert_close(lo.data[steps], one_op.data)
+            assert_close(lw.data[steps], one_word.data)
+            ad.add(ad.dot(one_op, Tensor(a)), ad.dot(one_word, Tensor(b))).backward()
+            start += len(traj.steps)
+        assert start == len(lo.data)
+        for name, p in store.items():
+            assert_close(batch_grads[name], p.grad, rtol=1e-10)
 
 
 class TestLockstep:

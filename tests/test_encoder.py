@@ -492,6 +492,8 @@ class TestPerGroupReference:
         for _, t in store.items():  # every weight is random, biases included
             t.data[...] = rng.normal(size=t.shape)
         store.zero_grads()
+        # the op's node inputs as a leaf: backward keeps only a leaf's gradient
+        seen["phi"] = ad.Tensor(seen["phi"].data, requires_grad=True)
         out = op(seen["phi"], seen["pairs"], seen["us"],
                  plan(seen["children"], seen["affine"], seen["recurrent"]))
         g = rng.normal(size=out.shape)

@@ -14,7 +14,7 @@ from treecomment import metrics
 from treecomment.corpus import (EOS, Example, build_vocab, examples_from_pairs,
                                 generate_synthetic, lint_examples, node_surface,
                                 source_token_stream)
-from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, TreeDecoder
+from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, KnownSequence, TreeDecoder
 from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import AdamState, ParamStore, adam_step
 from treecomment.parsers import parse_sql
@@ -330,7 +330,8 @@ class TestHrlLoss:
             if hrl_loss(ex, encoder, decoder, np.random.default_rng(s), BLEU)[1] > 0)
         enc = encoder.encode(tree)
         traj = decoder.decode_sample(enc, tree, np.random.default_rng(sample_seed))
-        before = sum(float(v.data.sum()) for v in decoder.score_trajectory(enc, tree, traj))
+        before = sum(float(v.data.sum()) for v in decoder.score_trajectory(
+            encoder.encode_forest([tree]), [traj]))
         store.zero_grads()
         surrogate, reward = hrl_loss(ex, encoder, decoder,
                                      np.random.default_rng(sample_seed), BLEU,
@@ -338,8 +339,8 @@ class TestHrlLoss:
         assert reward > 0.0
         surrogate.backward()
         adam_step(store, AdamState(), lr=1e-3)
-        enc2 = encoder.encode(tree)
-        after = sum(float(v.data.sum()) for v in decoder.score_trajectory(enc2, tree, traj))
+        after = sum(float(v.data.sum()) for v in decoder.score_trajectory(
+            encoder.encode_forest([tree]), [traj]))
         assert after > before
 
     def test_surrogate_equals_step_replay(self):
@@ -383,14 +384,16 @@ class TestHrlLoss:
 
 
 class TestHrlTape:
-    @pytest.mark.parametrize("flags, ops", [({}, 23), ({"generate_only": True}, 15)],
+    @pytest.mark.parametrize("flags, ops", [({}, 27), ({"generate_only": True}, 18)],
                              ids=["default", "generate_only"])
     def test_records_a_constant_number_of_ops(self, flags, ops, monkeypatch):
-        # the teacher-forced pass 15 (LSTM 3, attention 6, heads 2 each, copy
-        # scores and masked softmax 2), its log-probabilities 6 and the
-        # surrogate 2, whatever the sample's length; damping adds 1 once a
-        # copy has decayed a node. Generate-only: LSTM, attention, the
-        # generate head, one pick, one log and the surrogate's 2.
+        # the teacher-forced pass 17 (node blocks and roots read off the
+        # forest 2, LSTM 3, attention 6, heads 2 each, copy scores and
+        # masked softmax 2), its log-probabilities 8 and the surrogate 2,
+        # whatever the sample's length; damping adds 1 once a copy has
+        # decayed a node. Generate-only: the forest reads, LSTM, attention,
+        # the generate head, one pick, one take, one log and the
+        # surrogate's 2.
         _, encoder, decoder = make_model(seed=56, target_extra=("col",), **flags)
         tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
         ex = Example(tree=tree, comment=("col", "two", "words"))
@@ -405,12 +408,12 @@ class TestHrlTape:
         monkeypatch.setattr(ad, "_result", counting)
         lengths = set()
         for seed in range(20):
-            enc = encoder.encode(tree)
+            enc, forest = encoder.encode(tree), encoder.encode_forest([tree])
             traj = decoder.decode_sample(enc, tree, np.random.default_rng(seed))
             lengths.add(len(traj.steps))
             damped = any(s.action == OP_COPY for s in traj.steps[:-1])
             traced.clear()
-            hrl_loss(ex, encoder, decoder, np.random.default_rng(seed), BLEU, encoded=enc)
+            hrl_loss(ex, encoder, decoder, np.random.default_rng(seed), BLEU, forest=forest)
             assert sum(traced) == ops + damped
         assert len(lengths) >= 3
 
@@ -481,6 +484,92 @@ class TestTapeIsAcyclic:
             gc.enable()
 
 
+class TestBatchedObjective:
+    """A batch is scored in one teacher-forced pass; each example's loss and
+    each sample's log-probabilities must equal its one-example call up to
+    summation order, and the batch's gradients the sum of the examples'."""
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(90)
+        nothing = TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                                grammar="wikisql")  # nothing copyable under the mask
+        return [Example(tree=parse_sql("SELECT col FROM t WHERE a = 'Two Words'"),
+                        comment=("col", "two", "words")),
+                Example(tree=nothing, comment=("col", "zzz-unseen")),  # a guarded unit
+                Example(tree=parse_sql("SELECT col FROM t"), comment=("col", "col", "x")),
+                *(Example(tree=random_tree(rng), comment=tuple(rng.choice(WORDS, size=k)))
+                  for k in (1, 4, 2))]
+
+    @staticmethod
+    def grads(store):
+        return {name: p.grad.copy() for name, p in store.items()}
+
+    @staticmethod
+    def total(losses):
+        out = losses[0]
+        for loss in losses[1:]:
+            out = ad.add(out, loss)
+        return out
+
+    @pytest.mark.parametrize("flags", [{}, {"generate_only": True}, {"use_mask": False},
+                                       {"use_decay": False}, {"untyped": True}],
+                             ids=["default", "generate_only", "no_mask", "no_decay",
+                                  "untyped"])
+    def test_batch_equals_one_example_calls(self, flags):
+        from test_decoder import assert_close
+        store, encoder, decoder = make_model(seed=91, target_extra=("col", "x"), **flags)
+        decoder.config.max_len = 3  # some samples end at max_len
+        batch = self.batch()
+        guards = GuardLog()
+        logger = logging.getLogger("treecomment.training")
+        logger.addHandler(guards)
+        try:
+            store.zero_grads()
+            parts = {}
+            mle_loss(batch, encoder, decoder, parts=parts).backward()
+            batch_grads = self.grads(store)
+            batch_guards = list(guards.units)
+            store.zero_grads()
+            alone = [mle_loss(ex, encoder, decoder) for ex in batch]
+            self.total(alone).backward()
+        finally:
+            logger.removeHandler(guards)
+        assert ("zzz-unseen",) in batch_guards and guards.units == batch_guards * 2
+        assert parts["guards"] == len(batch_guards)
+        np.testing.assert_allclose(parts["loss_mle"], [float(a.data) for a in alone],
+                                   rtol=1e-12, atol=0.0)
+        for name, p in store.items():
+            assert_close(batch_grads[name], p.grad, rtol=1e-10)
+
+        # the mixed objective: one rng samples every example in turn
+        cfg = TrainConfig(total_steps=10, hidden_size=6)
+        sampled, sample = [], decoder.decode_sample
+        decoder.decode_sample = lambda *args, **kw: sampled.append(sample(*args, **kw)) \
+            or sampled[-1]
+        store.zero_grads()
+        loss, parts = mixed_loss(batch, encoder, decoder, 4, cfg,
+                                 np.random.default_rng(5), Baseline(value=0.1))
+        loss.backward()
+        assert any(len(t.steps) == 3 and (t.steps[-1].action, t.steps[-1].choice) != (OP_GEN, EOS)
+                   for t in sampled)
+        batch_grads = self.grads(store)
+        store.zero_grads()
+        rng = np.random.default_rng(5)
+        ones = [mixed_loss(ex, encoder, decoder, 4, cfg, rng, Baseline(value=0.1))
+                for ex in batch]
+        ad.mul(self.total([loss for loss, _ in ones]), 1.0 / len(batch)).backward()
+        # the same samples, so the same rewards
+        assert parts["reward"] == [p["reward"][0] for _, p in ones]
+        np.testing.assert_allclose(parts["loss_mle"], [p["loss_mle"][0] for _, p in ones],
+                                   rtol=1e-12, atol=0.0)
+        assert_close(np.array(parts["loss_hrl"]), np.array([p["loss_hrl"][0] for _, p in ones]))
+        assert (parts["units"], parts["guards"]) == \
+            (sum(p["units"] for _, p in ones), sum(p["guards"] for _, p in ones))
+        for name, p in store.items():
+            assert_close(batch_grads[name], p.grad, rtol=1e-10)
+
+
 class TestConfig:
     def test_roundtrip(self):
         cfg = TrainConfig(hidden_size=48, grad_clip=2.5, mle_only=True, seed=9)
@@ -549,7 +638,8 @@ class TestModelBuiltOnce:
         built = store.names()
         decoder.decode_greedy(enc, tree)
         decoder.decode_sample(enc, tree, np.random.default_rng(0))
-        decoder.teacher_forced(enc, tree, [1, 4, 5], np.zeros((3, len(tree))))
+        decoder.teacher_forced(encoder.encode_forest([tree]),
+                               [KnownSequence(0, [1, 4, 5], np.zeros((3, len(tree))))])
         assert store.names() == built
 
     def test_gates_stay_bound_through_adam_and_load_snapshot(self):
