@@ -33,7 +33,7 @@ p = store.get("w", (4,))
 target = np.array([1.0, -2.0, 0.5, 3.0])
 state = AdamState()
 for step in range(2000):
-    diff = ad.sub(p, Tensor(target))
+    diff = ad.add(p, Tensor(-target))
     ad.sumall(ad.mul(diff, diff)).backward()
     adam_step(store, state, lr=0.01)
 print("after 2000 Adam steps:", np.round(p.data, 4), "target:", target)

@@ -5,8 +5,8 @@
 
 import numpy as np
 
-from treecomment.corpus import build_vocab
-from treecomment.decoder import DecoderConfig, TreeDecoder
+from treecomment.corpus import BOS, build_vocab
+from treecomment.decoder import DecoderConfig, KnownSequence, TreeDecoder, decay_update
 from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import ParamStore
 from treecomment.parsers import parse_sql
@@ -30,18 +30,20 @@ for n in tree.nodes:
     tag = "copyable" if keep[n.id] else "masked"
     print(f"  node {n.id} {n.type:<12} {str(list(n.tokens)):<24} {tag}")
 
-state = decoder.initial_state(enc, tree)
-state, out = decoder.step(state, enc.hidden, keep, prev_token_id=1)
-print("\noperation distribution [copy, generate]:", np.round(out.op_probs.data, 3))
-print("copy distribution:", np.round(out.copy_probs.data, 3))
-print("masked probabilities are exactly zero:",
-      bool(np.all(out.copy_probs.data[~keep] == 0.0)))
+# the first step, scored as training scores it: a teacher-forced pass over a
+# one-step sequence fed BOS, with nothing decayed yet; every output has one
+# row per step
+first = KnownSequence(tree=0, prev_ids=[BOS], decay=np.zeros((1, len(tree))))
+out = decoder.teacher_forced(encoder.encode_forest([tree]), [first])
+copy_probs = out.copy_probs.data[0]
+print("\noperation distribution [copy, generate]:", np.round(out.op_probs.data[0], 3))
+print("copy distribution:", np.round(copy_probs, 3))
+print("masked probabilities are exactly zero:", bool(np.all(copy_probs[~keep] == 0.0)))
 
 # after copying a node its decay jumps to 1 and then halves every step,
 # scaling its future copy probability by (1 - decay)
-copied = int(np.argmax(out.copy_probs.data))
-from treecomment.decoder import decay_update
-decay = decay_update(state.decay, copied, 0.5)
+copied = int(np.argmax(copy_probs))
+decay = decay_update(first.decay[0], copied, 0.5)
 print(f"\ndecay after copying node {copied}:", decay)
 for _ in range(2):
     decay = decay_update(decay, None, 0.5)

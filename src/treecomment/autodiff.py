@@ -33,14 +33,16 @@ at once. ``lstm_rows`` runs one step of the same gate arithmetic
 (``_lstm_cell``) for B independent rows, recording nothing: the step of
 lockstep decoding.
 
-The ops the decoder heads need work on a single vector or on a matrix with
-one row per position: ``linear`` (``x @ W.T``), ``softmax`` and ``concat``
-over the last axis, the copy damping ``damp``, and the gathers ``rows`` and
-``pick``. So one head computes a single decoding step, every
-teacher-forced position, or one step of many trees at once; ``softmax``
-takes one mask shared by every row or one mask row per row. Every product
-is a ``block_matmul``: equal runs of rows, each against its own block of a
-stack, as one ``np.matmul``, or every row against one matrix.
+The ops the decoder heads need work on a matrix with one row per position:
+``linear`` (``x @ W.T``), ``softmax`` and ``concat`` over the last axis, the
+copy damping ``damp``, and the gathers ``rows`` and ``pick``. So one head
+computes every teacher-forced position, or one step of many trees at once;
+a mask has one row per row. Every product is a ``block_matmul``: equal runs
+of rows, each against its own block of a stack, as one ``np.matmul``, or
+every row against one matrix. ``matmul``, ``sigmoid`` and ``stack_rows``
+have no caller in the library: the tests build their reference
+compositions of the fused cells from them, and the gradient suite checks
+them.
 
 No operation creates a function object, and a tensor refers only to its
 inputs, never to itself or to anything downstream. A graph is therefore
@@ -193,12 +195,6 @@ def _add_bw(out, g, parents):
     b._accumulate(g)
 
 
-def _sub_bw(out, g, parents):
-    a, b = parents
-    a._accumulate(g)
-    b._accumulate(-g)
-
-
 def _mul_scalar_bw(out, g, parents):
     parents[0]._accumulate(out._ctx * g)
 
@@ -207,13 +203,6 @@ def _mul_bw(out, g, parents):
     a, b = parents
     a._accumulate(b.data * g)
     b._accumulate(a.data * g)
-
-
-def _div_bw(out, g, parents):
-    a, s = parents
-    denom = out._ctx
-    a._accumulate(g / denom)
-    s._accumulate(np.asarray(-(g * a.data).sum() / denom ** 2))
 
 
 def _block_matmul_bw(out, g, parents):
@@ -275,26 +264,11 @@ def _sumall_bw(out, g, parents):
     x._accumulate(np.full_like(x.data, float(g)))
 
 
-def _at_bw(out, g, parents):
-    x = parents[0]
-    full = np.zeros_like(x.data)
-    full[out._ctx] = float(g)
-    x._accumulate(full)
-
-
 def _take_bw(out, g, parents):
     x = parents[0]
     full = np.zeros_like(x.data)
     np.add.at(full, out._ctx, g)
     x._accumulate(full)
-
-
-def _embedding_mean_bw(out, g, parents):
-    table = parents[0]
-    idx = out._ctx
-    full = np.zeros_like(table.data)
-    np.add.at(full, idx, g * (1.0 / len(idx)))
-    table._accumulate(full)
 
 
 def _row_bw(out, g, parents):
@@ -363,10 +337,10 @@ def _lstm_bw(out, g, parents):
         dc = forget[t] * dc
     das = das.reshape(steps * batch, 4 * d)
     x._accumulate(das @ w)
-    h0._accumulate(dh.reshape(h0.data.shape))
-    c0._accumulate(dc.reshape(c0.data.shape))
+    h0._accumulate(dh)
+    c0._accumulate(dc)
     # the recurrent input of step t is h_{t-1}: h0, then the outputs but the last
-    h_prev = np.vstack((h0.data.reshape(batch, d), out.data[:(steps - 1) * batch]))
+    h_prev = np.vstack((h0.data, out.data[:(steps - 1) * batch]))
     dw, du, db = das.T @ x.data, das.T @ h_prev, das.sum(axis=0)
     # parents[3:] is (W, U, b) per gate
     for k in range(4):
@@ -434,12 +408,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), _add_bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    return _result(a.data - b.data, (a, b), _sub_bw)
-
-
 def mul(a: Tensor, b) -> Tensor:
     """Elementwise product; ``b`` may be a same-shape Tensor or a python float."""
     if not isinstance(b, Tensor):
@@ -448,14 +416,6 @@ def mul(a: Tensor, b) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
     return _result(a.data * b.data, (a, b), _mul_bw)
-
-
-def div(a: Tensor, s: Tensor) -> Tensor:
-    """Divide ``a`` by a scalar tensor ``s`` (shape ())."""
-    if s.shape != ():
-        raise ShapeError(f"div: divisor must be scalar, got {s.shape}")
-    denom = float(s.data)
-    return _result(a.data / denom, (a, s), _div_bw, denom)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -467,8 +427,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ w.T`` for a vector (k,) -> (m,) or one per row, (T,k) -> (T,m),
-    with ``w`` of shape (m, k): a ``block_matmul`` with one block."""
+    """``x @ w.T`` for each row of ``x``, (T, k) -> (T, m), with ``w`` of
+    shape (m, k): a ``block_matmul`` with one block."""
     if w.data.ndim != 2:
         raise ShapeError(f"linear: {x.shape} against weights {w.shape}")
     return block_matmul(x, w, transpose=True)
@@ -531,31 +491,26 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, keep: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis of a vector or of each row of a matrix.
+    """Softmax of each row of a matrix; one distribution is a one-row matrix.
 
-    ``keep`` is an optional boolean mask, of the last axis's shape (shared
-    by every row) or of the input's shape (one mask row per row). Entries
-    where it is False get probability exactly 0.0 and receive no gradient,
-    which realizes additive minus-infinity masking without NaN-producing
-    arithmetic. Either way the normalizer sums the whole row, masked zeros
-    included, so a row's floats do not depend on the mask's layout, and an
-    all-True mask gives the unmasked floats. A row that keeps nothing comes
-    out all zero; a 1-D mask must keep some entry.
+    ``keep`` is an optional boolean mask of the input's shape. Entries where
+    it is False get probability exactly 0.0 and receive no gradient, which
+    realizes additive minus-infinity masking without NaN-producing
+    arithmetic. The normalizer sums the whole row, masked zeros included, so
+    an all-True mask gives the unmasked floats. A row that keeps nothing
+    comes out all zero.
     """
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] == 0:
-        raise ShapeError(f"softmax: need a non-empty last axis on 1-D or 2-D input, "
-                         f"got {x.shape}")
+    if x.data.ndim != 2 or x.data.shape[1] == 0:
+        raise ShapeError(f"softmax: need a 2-D input with columns, got {x.shape}")
     if keep is None:
-        z = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-        return _result(z / z.sum(axis=-1, keepdims=True), (x,), _softmax_bw)
+        z = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+        return _result(z / z.sum(axis=1, keepdims=True), (x,), _softmax_bw)
     keep = np.asarray(keep, dtype=bool)
-    if keep.shape not in (x.shape, x.shape[-1:]):
+    if keep.shape != x.shape:
         raise ShapeError(f"softmax: mask shape {keep.shape} vs {x.shape}")
-    if keep.ndim == 1 and not keep.any():
-        raise ShapeError("softmax: mask removes every entry")
-    m = np.where(keep, x.data, -np.inf).max(axis=-1, keepdims=True)
+    m = np.where(keep, x.data, -np.inf).max(axis=1, keepdims=True)
     z = np.exp(np.where(keep, x.data - m, -np.inf))  # a row that keeps nothing: 0
-    total = z.sum(axis=-1, keepdims=True)
+    total = z.sum(axis=1, keepdims=True)
     return _result(np.divide(z, total, out=z, where=total > 0.0), (x,), _softmax_bw)
 
 
@@ -569,28 +524,11 @@ def sumall(x: Tensor) -> Tensor:
     return _result(np.asarray(x.data.sum()), (x,), _sumall_bw)
 
 
-def at(x: Tensor, i: int) -> Tensor:
-    """Scalar view of one entry of a 1-D tensor."""
-    if x.data.ndim != 1:
-        raise ShapeError(f"at: need 1-D, got {x.shape}")
-    return _result(np.asarray(x.data[i]), (x,), _at_bw, i)
-
-
 def take(x: Tensor, indices: Iterable[int]) -> Tensor:
     idx = np.asarray(list(indices), dtype=np.intp)
     if x.data.ndim != 1:
         raise ShapeError(f"take: need 1-D, got {x.shape}")
     return _result(x.data[idx], (x,), _take_bw, idx)
-
-
-def embedding_mean(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Arithmetic mean of the embedding rows for ``ids``; empty -> zero vector."""
-    if table.data.ndim != 2:
-        raise ShapeError(f"embedding_mean: table must be 2-D, got {table.shape}")
-    if len(ids) == 0:
-        return Tensor(np.zeros(table.shape[1]))
-    idx = np.asarray(ids, dtype=np.intp)
-    return _result(table.data[idx].mean(axis=0), (table,), _embedding_mean_bw, idx)
 
 
 def embedding_means(table: Tensor, ids: Sequence[int], counts: Sequence[int]) -> Tensor:
@@ -651,16 +589,16 @@ def pick(m: Tensor, row_ids: Sequence[int], col_ids: Sequence[int]) -> Tensor:
 
 
 def damp(probs: Tensor, decay: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Copy damping of a distribution (a vector) or of one per row (a matrix).
+    """Copy damping of a matrix of distributions, one per row.
 
     A row whose ``decay`` is not all zero is scaled by ``1 - decay`` and
     renormalized; a row whose decay is all zero passes through untouched. A
     row whose damped mass is zero cannot be renormalized: it comes out all
-    zero, takes no gradient, and is reported in ``dead`` (shape ``()`` for a
-    vector, one flag per row for a matrix). Returns ``(damped, dead)``.
+    zero, takes no gradient, and is flagged in ``dead``, one flag per row.
+    Returns ``(damped, dead)``.
     """
     decay = np.asarray(decay, dtype=np.float64)
-    if decay.shape != probs.shape or decay.ndim not in (1, 2):
+    if decay.shape != probs.shape or decay.ndim != 2:
         raise ShapeError(f"damp: decay {decay.shape} vs probabilities {probs.shape}")
     keep = 1.0 - decay
     damped = probs.data * keep
@@ -670,7 +608,7 @@ def damp(probs: Tensor, decay: np.ndarray) -> tuple[Tensor, np.ndarray]:
     total = np.where(live, total, 1.0)
     data = np.where(active, damped, probs.data)
     np.divide(data, total, out=data, where=live)
-    dead = (active & ~live)[..., 0]
+    dead = (active & ~live)[:, 0]
     return _result(data, (probs,), _damp_bw, (keep, total, live, active)), dead
 
 
@@ -712,8 +650,8 @@ def _gate_stacks(weights: Sequence[Tensor]) -> tuple[np.ndarray, np.ndarray, np.
 
 def _lstm_cell(a: np.ndarray, c: np.ndarray, gates: np.ndarray, cell: np.ndarray,
                tc: np.ndarray) -> np.ndarray:
-    """The gate arithmetic of one LSTM step, for one state or row by row for
-    a matrix of them: from the pre-activations ``a`` (..., 4d) of the input,
+    """The gate arithmetic of one LSTM step, row by row for a matrix of
+    states: from the pre-activations ``a`` (..., 4d) of the input,
     forget, output and update gates and the previous cell ``c`` (..., d),
     write the gate values into ``gates``, ``c_t`` into ``cell`` and
     ``tanh(c_t)`` into ``tc``, and return ``h_t``."""
@@ -727,9 +665,9 @@ def _lstm_cell(a: np.ndarray, c: np.ndarray, gates: np.ndarray, cell: np.ndarray
 
 def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor:
     """T LSTM steps of B sequences as one traced op, from the states ``h0``
-    and ``c0`` (B, d), or (d,) for one, over the inputs ``x`` (T * B, n),
-    row ``t * B + b`` for sequence b at step t. Returns the ((T + 1) * B, d)
-    matrix ``[h_1 .. h_T; c_T]`` in that row order; for one step, ``[h; c]``.
+    and ``c0`` (B, d) over the inputs ``x`` (T * B, n), row ``t * B + b``
+    for sequence b at step t. Returns the ((T + 1) * B, d) matrix
+    ``[h_1 .. h_T; c_T]`` in that row order; for one step, ``[h; c]``.
 
     ``weights`` is the twelve tensors of ``bind_lstm_gates``. A gate's
     pre-activation at step t is ``W @ x_t + b + U @ h_{t-1}``;
@@ -741,10 +679,10 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
     """
     weights = tuple(weights)
     w, u, b = _gate_stacks(weights)
-    if x.data.ndim != 2 or h0.data.ndim not in (1, 2) or c0.data.shape != h0.data.shape:
-        raise ShapeError(f"lstm: inputs {x.shape} must be a 2-D matrix and hidden "
-                         f"{h0.shape} and cell {c0.shape} equal 1-D or 2-D shapes")
-    batch, d = (1, h0.data.size) if h0.data.ndim == 1 else h0.data.shape
+    if x.data.ndim != 2 or h0.data.ndim != 2 or c0.data.shape != h0.data.shape:
+        raise ShapeError(f"lstm: inputs {x.shape}, hidden {h0.shape} and cell {c0.shape} "
+                         f"must be matrices, the states of equal shape")
+    batch, d = h0.data.shape
     steps = x.data.shape[0] // batch
     if steps == 0 or steps * batch != x.data.shape[0]:
         raise ShapeError(f"lstm: {x.data.shape[0]} input rows for {batch} sequences")
@@ -754,7 +692,7 @@ def lstm(x: Tensor, h0: Tensor, c0: Tensor, weights: Sequence[Tensor]) -> Tensor
     tc = np.empty((steps, batch, d))
     data = np.empty((steps + 1, batch, d))
     cells[0] = c0.data
-    h = h0.data.reshape(batch, d)
+    h = h0.data
     for t in range(steps):
         h = data[t] = _lstm_cell(pre[t] + h @ u.T, cells[t], gates[t], cells[t + 1], tc[t])
     data[steps] = cells[steps]

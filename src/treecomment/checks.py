@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_difference_check
 from .corpus import Example, build_vocab, source_token_stream, tokenize_comment
-from .decoder import TreeDecoder
+from .decoder import KnownSequence, TreeDecoder
 from .encoder import TreeEncoder, encoder_gradient_check
 from .parsers import parse_sql
 from .training import TrainConfig, build_model, mle_loss
@@ -27,7 +27,11 @@ SHALLOW_SQL = "SELECT Stadium FROM table"
 
 
 def primitives_check(seed: int = 0) -> float:
-    """A three-layer composition touching every traced primitive."""
+    """A composition of the gathers and heads training runs
+    (``embedding_means``, ``rows``, a softmax with one mask row per row,
+    ``pick``, ``take``, ``dot``) and of the ops the tests build their
+    reference compositions from (vector ``matmul``, ``sigmoid``, ``row``,
+    ``stack_rows``)."""
     rng = np.random.default_rng(seed)
     params = {
         "w1": Tensor(rng.normal(size=(4, 3)), requires_grad=True),
@@ -36,19 +40,19 @@ def primitives_check(seed: int = 0) -> float:
         "table": Tensor(rng.normal(size=(5, 3)), requires_grad=True),
         "v": Tensor(rng.normal(size=4), requires_grad=True),
     }
-    keep = np.array([True, True, False, True])
+    keep = np.array([[True, True, False, True], [False, True, True, True]])
 
     def loss():
-        x = ad.embedding_mean(params["table"], [0, 2, 2])
-        h1 = ad.tanh(ad.add(ad.matmul(params["w1"], x), params["b"]))
+        means = ad.embedding_means(params["table"], [0, 2, 2, 4, 1], [3, 2])
+        h1 = ad.tanh(ad.add(ad.matmul(params["w1"], ad.row(means, 0)), params["b"]))
         h2 = ad.sigmoid(ad.matmul(params["w2"], h1))
-        probs = ad.softmax(ad.mul(h2, params["v"]), keep=keep)
-        picked = ad.take(probs, [0, 3])
-        joined = ad.concat([picked, h1])
-        scored = ad.dot(joined, joined)
-        ratio = ad.div(h2, ad.sumall(ad.mul(h1, h1)))
-        return ad.add(ad.add(scored, ad.sumall(ad.log(ad.take(probs, [1])))),
-                      ad.sumall(ratio))
+        scores = ad.stack_rows([ad.mul(h2, params["v"]),
+                                ad.matmul(params["w1"], ad.row(means, 1))])
+        probs = ad.softmax(scores, keep=keep)
+        # kept entries only: rows 1, 0 and 1 of probs, one or two entries each
+        picked = ad.pick(ad.rows(probs, [1, 0, 1]), [0, 0, 1, 2], [1, 3, 0, 2])
+        joined = ad.concat([ad.log(picked), ad.take(h1, [0, 3])])
+        return ad.add(ad.dot(joined, joined), ad.sumall(ad.mul(h2, -0.5)))
 
     return finite_difference_check(loss, params, max_coords_per_param=6,
                                    rng=np.random.default_rng(seed + 1))
@@ -80,33 +84,33 @@ _STENCIL = {"epsilon": 1e-3, "order": 4}
 
 
 def decoder_step_check(seed: int = 0) -> float:
-    """One decoder step through attention, both word branches and the
-    renormalized copy distribution (with a non-trivial decay vector)."""
+    """One decoder step, scored by the teacher-forced pass training runs,
+    through attention, both word branches and the renormalized copy
+    distribution (with a non-trivial decay row)."""
     example, encoder, decoder = _toy_model(seed)
     tree = example.tree
-    keep = decoder.copy_keep_mask(tree)
-    decay = np.zeros(len(tree))
-    decay[int(np.flatnonzero(keep)[0])] = 0.4  # exercise the (1 - decay) path
-    encoder.encode(tree)  # materialize parameters before selecting the subset
+    copyable = int(np.flatnonzero(decoder.copy_keep_mask(tree))[0])
+    decay = np.zeros((1, len(tree)))
+    decay[0, copyable] = 0.4  # exercise the (1 - decay) path
 
     def loss():
-        return decoder_probe_loss(encoder, decoder, tree, keep, decay)
+        return decoder_probe_loss(encoder, decoder, tree, copyable, decay)
 
+    loss()  # materialize the encoder's gate weights before selecting the subset
     subset = dict(encoder.store.items())
     return finite_difference_check(loss, subset, max_coords_per_param=4,
                                    rng=np.random.default_rng(seed + 3), **_STENCIL)
 
 
-def decoder_probe_loss(encoder: TreeEncoder, decoder: TreeDecoder, tree, keep,
-                       decay) -> Tensor:
-    enc = encoder.encode(tree)
-    state = decoder.initial_state(enc, tree)
-    state.decay = decay
-    state, out = decoder.step(state, enc.hidden, keep, prev_token_id=1)
-    unmasked = int(np.flatnonzero(keep)[0])
-    probe = ad.add(ad.log(ad.at(out.op_probs, 0)),
-                   ad.log(ad.at(out.gen_probs, 4)))
-    return ad.add(probe, ad.log(ad.at(out.copy_probs, unmasked)))
+def decoder_probe_loss(encoder: TreeEncoder, decoder: TreeDecoder, tree, copyable: int,
+                       decay: np.ndarray) -> Tensor:
+    """log p(copy) + log p(word 4) + log p(copy node ``copyable``) of a
+    one-step sequence fed id 1 that sees the decay row ``decay``."""
+    out = decoder.teacher_forced(encoder.encode_forest([tree]),
+                                 [KnownSequence(tree=0, prev_ids=[1], decay=decay)])
+    picked = [ad.pick(out.op_probs, [0], [0]), ad.pick(out.gen_probs, [0], [4]),
+              ad.pick(out.copy_probs, [0], [copyable])]
+    return ad.sumall(ad.log(ad.concat(picked)))
 
 
 def mle_loss_check(seed: int = 0) -> float:

@@ -64,6 +64,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _natural_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:  # NaN fails too
@@ -352,7 +359,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="emit a synthetic corpus")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural_int, default=0)
     p.add_argument("--grammar", choices=("wikisql", "atis"), default="wikisql")
     p.add_argument("--oov-fraction", type=_fraction, default=0.5)
     p.add_argument("--out", required=True)
@@ -361,8 +368,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("preprocess", help="corpus JSONL -> trees + vocabularies")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-freq-source", type=int, default=4)
-    p.add_argument("--min-freq-target", type=int, default=4)
+    p.add_argument("--min-freq-source", type=_positive_int, default=4)
+    p.add_argument("--min-freq-target", type=_positive_int, default=4)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("stats", help="tree statistics per split")
@@ -395,7 +402,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

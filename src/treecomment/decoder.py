@@ -11,26 +11,26 @@ A copy emits the node's entire (lower-cased) token sequence as one action;
 the last emitted token feeds the next recurrence step. When no node is
 copyable at all, the operation is forced to "generate" with probability one.
 
-Attention and the three heads are written once (``heads``) for a hidden
-state (d,) or a matrix of them. Attention and copy scoring read node states
-in one form with two layouts (``autodiff.block_matmul``): one node matrix
-for every row, or a stack of node blocks, one per equal run of rows.
-Decoding chooses each step's input from the last step's output, so it runs
-``step`` in one unrecorded loop, ``_rollout``, for greedy and sampled
-decoding (an argmax or a Gumbel-Max chooser). The loop decodes a chunk of
-trees in lockstep: one LSTM cell over the (rows, d) states of the trees
+The decoder has one state shape: a (rows, d) matrix, one row per tree
+being decoded or per teacher-forced position. Attention and the three heads
+are written once (``heads``) for such a matrix. Attention and copy scoring
+read node states in one form with two layouts (``autodiff.block_matmul``):
+one node matrix for every row, or a stack of node blocks, one per equal run
+of rows. Decoding chooses each step's input from the last step's output, so
+it runs ``step`` in one unrecorded loop, ``_rollout``, for greedy and
+sampled decoding (an argmax or a Gumbel-Max chooser). The loop decodes a
+chunk of trees in lockstep: one LSTM cell over the states of the trees
 still decoding and the heads once over those rows, which share the chunk's
 concatenated node matrix, one block; per-row masks keep each row to its
 own tree's nodes, and each row has its own decay row and choices. A row
 stops at EOS or after ``max_len`` steps. ``decode_greedy`` and
 ``decode_sample`` are chunks of one tree, which owns every node and so
-attends without a mask; the masked softmax normalizes a row the same way
-under any mask layout, so a lone tree's floats equal single-tree decoding
-bit for bit. Wherever every input is known up front, ``teacher_forced``
-scores many sequences (``KnownSequence``: a likelihood target or a sampled
-trajectory) in one pass: one LSTM op runs them side by side, padded to the
-longest, and the heads run once over all their rows, each sequence
-attending over its own node block, padded to the widest tree.
+attends without a mask. Wherever every input is known up front,
+``teacher_forced`` scores many sequences (``KnownSequence``: a likelihood
+target or a sampled trajectory) in one traced pass: one LSTM op runs them
+side by side, padded to the longest, and the heads run once over all their
+rows, each sequence attending over its own node block, padded to the
+widest tree.
 """
 
 from __future__ import annotations
@@ -69,18 +69,18 @@ class DecoderConfig:
 
 @dataclass
 class DecoderState:
-    """The state of one tree's decoding, or of a chunk of trees decoded in
-    lockstep: then every field has one row per tree, and ``decay`` spans
-    the columns of the chunk's node matrix."""
-    hidden: Tensor               # (d,), or (rows, d)
-    cell: Tensor
-    decay: np.ndarray            # one value per node, each in [0, 1]
+    """The state of a chunk of trees decoded in lockstep: every field has
+    one row per tree, and ``decay`` spans the columns of the chunk's node
+    matrix."""
+    hidden: Tensor               # (rows, d)
+    cell: Tensor                 # (rows, d)
+    decay: np.ndarray            # (rows, nodes), each value in [0, 1]
 
 
 @dataclass
 class StepOutput:
-    """Head outputs for one step, or one row per position under teacher
-    forcing (``TreeDecoder.teacher_forced``)."""
+    """Head outputs, one row per state row: per tree at a lockstep step, or
+    per position under teacher forcing (``TreeDecoder.teacher_forced``)."""
     attn_weights: Tensor         # simplex over nodes
     attn_vector: Tensor
     op_probs: Tensor | None      # [copy, generate]; None in generate-only mode
@@ -150,23 +150,6 @@ class TreeDecoder:
 
     # step operations ----------------------------------------------------------
 
-    def initial_state(self, encoder_output: EncoderOutput,
-                      tree: TokenTypeTree) -> DecoderState:
-        d = self.config.hidden_size
-        return DecoderState(hidden=encoder_output.root_hidden,
-                            cell=Tensor(np.zeros(d)), decay=np.zeros(len(tree)))
-
-    def recurrence(self, hidden: Tensor, cell: Tensor,
-                   prev_token_id: int | Sequence[int]) -> tuple[Tensor, Tensor]:
-        """One LSTM cell over the embedding of the previously emitted token.
-        For (rows, d) states and one token id per row, one cell per row,
-        recording nothing (``autodiff.lstm_rows``)."""
-        if hidden.data.ndim == 2:
-            return ad.lstm_rows(ad.rows(self.embed, prev_token_id), hidden, cell,
-                                self.lstm_weights)
-        state = ad.lstm(ad.rows(self.embed, [prev_token_id]), hidden, cell, self.lstm_weights)
-        return ad.row(state, 0), ad.row(state, 1)
-
     def attend(self, hidden: Tensor, nodes: Tensor,
                own: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
         """Dot-product attention over node states ``nodes``, one matrix or a
@@ -198,13 +181,13 @@ class TreeDecoder:
                           keep: np.ndarray, decay: np.ndarray) -> Tensor | None:
         """Masked softmax of node scores, damped by (1 - decay), renormalized.
 
-        ``nodes`` is as ``attend`` takes it; ``decay`` has one row per row of
-        ``attn_vector``, and ``keep`` is one mask shared by every row or one
-        mask row per row. The damped rows are renormalized so training sees
-        a true distribution (argmax decoding is unaffected by the
-        rescaling); a row every node of which is masked or fully decayed is
-        all zero, and callers must force the generate branch there. Returns
-        None when nothing is kept, or when every row is fully decayed.
+        ``nodes`` is as ``attend`` takes it; ``keep`` and ``decay`` have one
+        row per row of ``attn_vector``. The damped rows are renormalized so
+        training sees a true distribution (argmax decoding is unaffected by
+        the rescaling); a row every node of which is masked or fully decayed
+        is all zero, and callers must force the generate branch there.
+        Returns None when nothing is kept, or when every row is fully
+        decayed.
         """
         if not keep.any():
             return None
@@ -216,11 +199,10 @@ class TreeDecoder:
 
     def heads(self, hidden: Tensor, nodes: Tensor, keep: np.ndarray,
               decay: np.ndarray, own: np.ndarray | None = None) -> StepOutput:
-        """Attention and the three distributions for a hidden state (d,) and
-        its decay (nodes,), or for a (rows, d) matrix of them and a (rows,
-        nodes) decay matrix, over ``nodes`` as ``attend`` takes them. ``own``
-        says which nodes each row attends over, and ``keep`` which it may
-        copy."""
+        """Attention and the three distributions for a (rows, d) matrix of
+        hidden states and a (rows, nodes) decay matrix, over ``nodes`` as
+        ``attend`` takes them. ``own`` says which nodes each row attends
+        over, and ``keep`` which it may copy, one row each per row."""
         weights, vector = self.attend(hidden, nodes, own)
         gen_probs = self.generation_distribution(vector)
         if self.config.generate_only:
@@ -232,14 +214,16 @@ class TreeDecoder:
                           gen_probs=gen_probs, copy_probs=copy_probs)
 
     def step(self, state: DecoderState, nodes: Tensor, keep: np.ndarray,
-             prev_token_id: int | Sequence[int],
+             prev_token_id: Sequence[int],
              own: np.ndarray | None = None) -> tuple[DecoderState, StepOutput]:
-        """One decoding step of one tree, or of every row of a lockstep state
-        (then one token id per row, and ``keep`` and ``own`` as ``heads``
-        takes them; recording nothing)."""
-        hidden, cell = self.recurrence(state.hidden, state.cell, prev_token_id)
-        new_state = DecoderState(hidden=hidden, cell=cell, decay=state.decay)
-        return new_state, self.heads(hidden, nodes, keep, state.decay, own)
+        """One decoding step of every row of a lockstep state, recording
+        nothing: one LSTM cell per row over the embedding of its previously
+        emitted token (``autodiff.lstm_rows``), then the heads, with ``keep``
+        and ``own`` as ``heads`` takes them."""
+        hidden, cell = ad.lstm_rows(ad.rows(self.embed, prev_token_id), state.hidden,
+                                    state.cell, self.lstm_weights)
+        return (DecoderState(hidden=hidden, cell=cell, decay=state.decay),
+                self.heads(hidden, nodes, keep, state.decay, own))
 
     def teacher_forced(self, forest: Forest, sequences: Sequence[KnownSequence]) -> StepOutput:
         """Every step of many known sequences in one pass: step t of sequence

@@ -117,6 +117,8 @@ class AdamState:
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:
+    if not max_norm > 0:  # NaN fails too
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
     # fsum rounds once, so the norm does not depend on the store's order
     norm = math.sqrt(math.fsum(float((p.grad * p.grad).sum())
                                for _, p in store.items() if p.grad is not None))

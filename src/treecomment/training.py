@@ -94,6 +94,10 @@ _FIELD_CHECKS = {
     "max_decode_len": (lambda v: v >= 1, "must be >= 1"),
     "eval_every": (lambda v: v >= 1, "must be >= 1"),
     "baseline_decay": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "grad_clip": (lambda v: v is None or v > 0, "must be none or positive"),
+    "min_freq_source": (lambda v: v >= 1, "must be >= 1"),
+    "min_freq_target": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
 }
 
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False,

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from treecomment.corpus import Vocab, build_vocab
-from treecomment.decoder import DecoderConfig, TreeDecoder
+from treecomment import autodiff as ad
+from treecomment.autodiff import Tensor
+from treecomment.corpus import BOS, Vocab, build_vocab
+from treecomment.decoder import OP_COPY, DecoderConfig, DecoderState, TreeDecoder, decay_update
 from treecomment.encoder import EncoderConfig, TreeEncoder
 from treecomment.params import ParamStore
 from treecomment.trees import Node, TokenTypeTree, get_grammar
@@ -94,3 +96,63 @@ def make_model(seed: int = 0, hidden_size: int = 6, grammar_name: str = "wikisql
                                         use_mask=use_mask, use_decay=use_decay,
                                         generate_only=generate_only))
     return store, encoder, decoder
+
+
+class StepOracle:
+    """A reference decoder for one tree, a traced step at a time: a one-step
+    ``autodiff.lstm`` from (1, d) states over the fed token's embedding,
+    then ``decoder.heads`` on that row against the tree's own node matrix.
+    It shares none of ``teacher_forced``'s padding, node blocks or
+    step-major rows. ``decay`` is the (1, nodes) row the next step sees."""
+
+    def __init__(self, decoder, encoder_output, tree):
+        self.decoder = decoder
+        self.nodes = encoder_output.hidden
+        self.keep = decoder.copy_keep_mask(tree)[None]
+        self.hidden = ad.stack_rows([encoder_output.root_hidden])
+        self.cell = Tensor(np.zeros((1, decoder.config.hidden_size)))
+        self.decay = np.zeros((1, len(tree)))
+
+    def step(self, prev_id: int):
+        """The head outputs of the next step, fed ``prev_id``: one row each."""
+        dec = self.decoder
+        states = ad.lstm(ad.rows(dec.embed, [prev_id]), self.hidden, self.cell,
+                         dec.lstm_weights)
+        self.hidden, self.cell = ad.rows(states, [0]), ad.rows(states, [1])
+        return dec.heads(self.hidden, self.nodes, self.keep, self.decay)
+
+    def advance(self, copied):
+        """Decay as decoding does after a step that copied node ``copied``,
+        or nothing (None)."""
+        config = self.decoder.config
+        if config.use_decay and not config.generate_only:
+            self.decay = decay_update(self.decay, None if copied is None else (0, copied),
+                                      config.decay_factor)
+
+
+def replay_trajectory(decoder, enc, tree, traj):
+    """Traced (log p(op), log p(word)) of each step of a decoded trajectory,
+    each of shape (1,), fed and decayed one oracle step at a time as
+    decoding does: the reference for ``score_trajectory``. log p(op) is an
+    untraced 0 on a step whose operation was forced."""
+    oracle = StepOracle(decoder, enc, tree)
+    prev = BOS
+    pairs = []
+    for rec in traj.steps:
+        out = oracle.step(prev)
+        op = Tensor(np.zeros(1)) if out.copy_probs is None \
+            else ad.log(ad.pick(out.op_probs, [0], [rec.action]))
+        probs = out.copy_probs if rec.action == OP_COPY else out.gen_probs
+        pairs.append((op, ad.log(ad.pick(probs, [0], [rec.choice]))))
+        if rec.tokens:
+            prev = decoder.vocab.id_of(rec.tokens[-1])
+        oracle.advance(rec.choice if rec.action == OP_COPY else None)
+    return pairs
+
+
+def lockstep_state(decoder, enc, tree, decay=None) -> DecoderState:
+    """The one-row lockstep state a lone tree's decoding starts from, with
+    the decay row ``decay`` (nodes,) if given."""
+    return DecoderState(hidden=Tensor(enc.root_hidden.data[None]),
+                        cell=Tensor(np.zeros((1, decoder.config.hidden_size))),
+                        decay=np.zeros((1, len(tree))) if decay is None else decay[None])

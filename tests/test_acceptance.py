@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_model, random_tree, reference_tree_lstm
+from conftest import StepOracle, lockstep_state, make_model, random_tree, reference_tree_lstm
 from test_metrics import oracle_bleu, oracle_lcs_by_enumeration, random_pair
 
 from treecomment import autodiff as ad
@@ -90,20 +90,20 @@ def test_c02_distribution_invariants():
         tree = random_tree(rng, max_depth=2, tokenless_ok=False)
         with ad.no_grad():
             enc = encoder.encode(tree)
-            mat = enc.hidden
             keep = decoder.copy_keep_mask(tree)
-            state = decoder.initial_state(enc, tree)
             decay = rng.uniform(0.0, 1.0, size=len(tree))
             if rng.random() < 0.5:
                 decay[int(rng.integers(len(tree)))] = 1.0
-            state.decay = decay
-            state, out = decoder.step(state, mat, keep, int(rng.integers(4)))
+            # one row of the lockstep step decoding runs
+            state, out = decoder.step(lockstep_state(decoder, enc, tree, decay), enc.hidden,
+                                      keep[None], [int(rng.integers(4))])
+        assert out.attn_weights.shape == (1, len(tree))
         assert abs(out.attn_weights.data.sum() - 1.0) < 1e-9
         assert np.all(out.attn_weights.data >= 0.0)
         assert abs(out.op_probs.data.sum() - 1.0) < 1e-9
         assert abs(out.gen_probs.data.sum() - 1.0) < 1e-9
         if out.copy_probs is not None:
-            p = out.copy_probs.data
+            p = out.copy_probs.data[0]
             assert abs(p.sum() - 1.0) < 1e-9
             assert np.all(p >= 0.0)
             assert np.all(p[~keep] == 0.0), "masked node got copy probability"
@@ -199,27 +199,22 @@ def _enumerate_toy_trajectories(tgt_vocab):
 
 
 def _trajectory_probability(encoder, decoder, tree, traj):
-    enc = encoder.encode(tree)
-    mat = enc.hidden
-    keep = decoder.copy_keep_mask(tree)
-    state = decoder.initial_state(enc, tree)
+    """The traced probability of a trajectory, a (1,) tensor: the product of
+    its steps' probabilities, each read off the oracle's step."""
+    oracle = StepOracle(decoder, encoder.encode(tree), tree)
     prev = None
     prob = None
     for rec in traj.steps:
-        state, out = decoder.step(state, mat, keep, decoder._prev_id(prev))
-        if out.copy_probs is None:
-            factor = ad.at(out.gen_probs, rec.choice)
-        elif rec.action == OP_COPY:
-            factor = ad.mul(ad.at(out.op_probs, OP_COPY),
-                            ad.at(out.copy_probs, rec.choice))
-        else:
-            factor = ad.mul(ad.at(out.op_probs, OP_GEN),
-                            ad.at(out.gen_probs, rec.choice))
+        out = oracle.step(decoder._prev_id(prev))
+        word = out.copy_probs if rec.action == OP_COPY else out.gen_probs
+        factor = ad.pick(word, [0], [rec.choice])
+        if out.copy_probs is not None:
+            factor = ad.mul(ad.pick(out.op_probs, [0], [rec.action]), factor)
         prob = factor if prob is None else ad.mul(prob, factor)
         if rec.action == OP_GEN and rec.choice == EOS:
             break
         prev = rec.tokens[-1]
-        decoder._advance_decay(state, rec.choice if rec.action == OP_COPY else None)
+        oracle.advance(rec.choice if rec.action == OP_COPY else None)
     return prob
 
 
@@ -237,12 +232,12 @@ def test_c04_policy_gradient_unbiasedness():
     mass = 0.0
     for traj in trajectories:
         prob = _trajectory_probability(encoder, decoder, tree, traj)
-        mass += float(prob.data)
+        mass += prob.data[0]
         reward = float(step_rewards(traj, reference, metric).sum())
         term = ad.mul(prob, reward)
         objective = term if objective is None else ad.add(objective, term)
     assert abs(mass - 1.0) < 1e-9, "enumeration does not cover the policy"
-    objective.backward()
+    ad.sumall(objective).backward()
     exact = {name: p.grad.copy() for name, p in store.items()}
     store.zero_grads()
 

@@ -59,6 +59,11 @@ class TestUsage:
         ("mle_only=maybe", "mle_only: bad boolean 'maybe'"),
         ("learning_rate=-1", "learning_rate must be positive, got '-1'"),
         ("eval_every=0", "eval_every must be >= 1, got '0'"),
+        ("grad_clip=-1", "grad_clip must be none or positive, got '-1'"),
+        ("grad_clip=nan", "grad_clip must be none or positive, got 'nan'"),
+        ("min_freq_source=0", "min_freq_source must be >= 1, got '0'"),
+        ("min_freq_target=0", "min_freq_target must be >= 1, got '0'"),
+        ("seed=-1", "seed must be >= 0, got '-1'"),
     ])
     def test_bad_override_exits_one_naming_the_key(self, tmp_path, corpus_path, override,
                                                    message, capsys):
@@ -72,6 +77,7 @@ class TestUsage:
         ("hidden_size=abc", "config line 2: hidden_size: expected an int, got 'abc'"),
         ("decay_factor=1.5", "config line 2: decay_factor must lie in (0, 1), got '1.5'"),
         ("foo=1", "config line 2: unknown key 'foo'"),
+        ("grad_clip=-1", "config line 2: grad_clip must be none or positive, got '-1'"),
     ])
     def test_bad_config_file_value_exits_two_naming_line_and_key(
             self, tmp_path, corpus_path, line, message, capsys):
@@ -82,6 +88,24 @@ class TestUsage:
                              capsys)
         assert (code, out) == (2, "")
         assert message in err
+
+
+    @pytest.mark.parametrize("argv, name", [
+        (["synth", "--n", "5", "--seed", "-1", "--out", "c.jsonl"], "--seed"),
+        (["gradcheck", "--seed", "-1"], "--seed"),
+        (["preprocess", "--corpus", "c.jsonl", "--out-dir", "prep", "--min-freq-source", "0"],
+         "--min-freq-source"),
+        (["preprocess", "--corpus", "c.jsonl", "--out-dir", "prep", "--min-freq-target", "-2"],
+         "--min-freq-target"),
+    ], ids=["synth-seed", "gradcheck-seed", "preprocess-min-freq-source",
+            "preprocess-min-freq-target"])
+    def test_out_of_range_flag_exits_one_naming_the_flag(self, tmp_path, monkeypatch, argv,
+                                                         name, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert f"argument {name}" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestSynthAndPreprocess:

@@ -1,73 +1,58 @@
 import numpy as np
 import pytest
-from conftest import make_model, random_tree
+from conftest import StepOracle, lockstep_state, make_model, random_tree, replay_trajectory
 
 from treecomment import autodiff as ad
+from treecomment import checks
 from treecomment.autodiff import Tensor
 from treecomment.corpus import BOS, EOS
-from treecomment.decoder import OP_COPY, OP_GEN, DecoderConfig, KnownSequence, decay_update
+from treecomment.decoder import (OP_COPY, OP_GEN, DecoderConfig, DecoderState, KnownSequence,
+                                 decay_update)
 from treecomment.parsers import parse_sql
 from treecomment.trees import Node, TokenTypeTree
 
 
-def encoded(encoder, tree):
-    out = encoder.encode(tree)
-    return out, out.hidden
-
-
-def replay_trajectory(decoder, enc, tree, traj):
-    """Traced (log p(op), log p(word)) of each step of a decoded trajectory,
-    fed and decayed one ``step`` at a time as decoding does: the reference
-    for ``score_trajectory``."""
-    keep = decoder.copy_keep_mask(tree)
-    state = decoder.initial_state(enc, tree)
-    prev = BOS
-    pairs = []
-    for rec in traj.steps:
-        state, out = decoder.step(state, enc.hidden, keep, prev)
-        op = Tensor(np.asarray(0.0)) if out.copy_probs is None \
-            else ad.log(ad.at(out.op_probs, rec.action))
-        probs = out.copy_probs if rec.action == OP_COPY else out.gen_probs
-        pairs.append((op, ad.log(ad.at(probs, rec.choice))))
-        if rec.tokens:
-            prev = decoder.vocab.id_of(rec.tokens[-1])
-        decoder._advance_decay(state, rec.choice if rec.action == OP_COPY else None)
-    return pairs
-
-
 def run_step(encoder, decoder, tree, decay=None, prev=1):
-    enc, mat = encoded(encoder, tree)
-    keep = decoder.copy_keep_mask(tree)
-    state = decoder.initial_state(enc, tree)
-    if decay is not None:
-        state.decay = decay
-    return decoder.step(state, mat, keep, prev)
+    """One lockstep step of a lone tree from its start, with the decay row
+    ``decay`` (nodes,) if given; every output has one row."""
+    enc = encoder.encode(tree)
+    with ad.no_grad():
+        return decoder.step(lockstep_state(decoder, enc, tree, decay), enc.hidden,
+                            decoder.copy_keep_mask(tree)[None], [prev])
+
+
+def recurrence(decoder, h0, c0, prev):
+    """The (h, c) rows one lockstep step reaches from the rows ``h0`` and
+    ``c0``, fed ``prev``."""
+    state = DecoderState(hidden=Tensor(h0[None]), cell=Tensor(c0[None]), decay=np.zeros((1, 1)))
+    with ad.no_grad():
+        state, _ = decoder.step(state, Tensor(np.zeros((1, len(h0)))), np.ones((1, 1), bool),
+                                [prev])
+    return state.hidden.data[0], state.cell.data[0]
 
 
 class TestRecurrence:
     def test_zero_weights_zero_hidden(self):
         store, encoder, decoder = make_model()
-        tree = random_tree(np.random.default_rng(0))
-        run_step(encoder, decoder, tree)  # materialize
         for name, p in store.items():
             if name.startswith("dec.lstm") or name == "dec.embed":
                 p.data[...] = 0.0
-        h, c = decoder.recurrence(Tensor(np.zeros(6)), Tensor(np.zeros(6)), 1)
-        assert np.array_equal(h.data, np.zeros(6))
-        assert np.array_equal(c.data, np.zeros(6))
+        h, c = recurrence(decoder, np.zeros(6), np.zeros(6), 1)
+        assert np.array_equal(h, np.zeros(6))
+        assert np.array_equal(c, np.zeros(6))
 
     def test_deterministic(self):
         _, encoder, decoder = make_model(seed=3)
-        h0, c0 = Tensor(np.linspace(-1, 1, 6)), Tensor(np.zeros(6))
-        a = decoder.recurrence(h0, c0, 4)[0].data
-        b = decoder.recurrence(h0, c0, 4)[0].data
+        h0, c0 = np.linspace(-1, 1, 6), np.zeros(6)
+        a = recurrence(decoder, h0, c0, 4)[0]
+        b = recurrence(decoder, h0, c0, 4)[0]
         assert np.array_equal(a, b)
 
     def test_matches_hand_rolled_lstm_cell(self):
         store, _, decoder = make_model(seed=5)
         h0 = np.linspace(-0.5, 0.5, 6)
         x_id = 5
-        h, c = decoder.recurrence(Tensor(h0), Tensor(np.zeros(6)), x_id)
+        h, c = recurrence(decoder, h0, np.zeros(6), x_id)
         x = store["dec.embed"].data[x_id]
 
         def gate(g):
@@ -77,8 +62,8 @@ class TestRecurrence:
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         cell = sig(gate("f")) * 0.0 + sig(gate("i")) * np.tanh(gate("u"))
         want_h = sig(gate("o")) * np.tanh(cell)
-        assert np.max(np.abs(c.data - cell)) < 1e-12
-        assert np.max(np.abs(h.data - want_h)) < 1e-12
+        assert np.max(np.abs(c - cell)) < 1e-12
+        assert np.max(np.abs(h - want_h)) < 1e-12
 
 
 class TestAttention:
@@ -87,37 +72,36 @@ class TestAttention:
         tree = TokenTypeTree(nodes=(Node(0, "string", ("alpha",), ()),),
                              grammar="wikisql")
         _, out = run_step(encoder, decoder, tree)
-        assert out.attn_weights.data.tolist() == [1.0]
+        assert out.attn_weights.data.tolist() == [[1.0]]
 
     def test_identical_states_uniform_weights(self):
         _, _, decoder = make_model(seed=2)
-        row = np.linspace(-0.2, 0.4, 6)
-        mat = ad.stack_rows([Tensor(row) for _ in range(4)])
-        weights, _ = decoder.attend(Tensor(np.ones(6) * 0.3), mat)
+        mat = Tensor(np.tile(np.linspace(-0.2, 0.4, 6), (4, 1)))
+        weights, _ = decoder.attend(Tensor(np.full((1, 6), 0.3)), mat)
         assert np.allclose(weights.data, 0.25, atol=1e-12)
 
     def test_zero_projection_gives_zero_vector(self):
         store, _, decoder = make_model(seed=2)
         decoder.attn_w.data[...] = 0.0
-        mat = ad.stack_rows([Tensor(np.ones(6)), Tensor(np.zeros(6))])
-        _, vector = decoder.attend(Tensor(np.ones(6)), mat)
-        assert np.array_equal(vector.data, np.zeros(6))
+        mat = Tensor(np.stack([np.ones(6), np.zeros(6)]))
+        _, vector = decoder.attend(Tensor(np.ones((1, 6))), mat)
+        assert np.array_equal(vector.data, np.zeros((1, 6)))
 
 
 class TestOperationAndGeneration:
     def test_zero_head_is_uniform(self):
         _, _, decoder = make_model(seed=4)
         decoder.op_w.data[...] = 0.0
-        probs = decoder.operation_distribution(Tensor(np.ones(6)))
-        assert np.allclose(probs.data, [0.5, 0.5], atol=1e-15)
+        probs = decoder.operation_distribution(Tensor(np.ones((1, 6))))
+        assert np.allclose(probs.data, [[0.5, 0.5]], atol=1e-15)
 
     def test_dominant_logit_wins(self):
         _, _, decoder = make_model(seed=4)
         w = decoder.op_w
         w.data[...] = 0.0
         w.data[OP_COPY, :] = 10.0
-        probs = decoder.operation_distribution(Tensor(np.ones(6) / 6))
-        assert probs.data[OP_COPY] > 0.9999
+        probs = decoder.operation_distribution(Tensor(np.ones((1, 6)) / 6))
+        assert probs.data[0, OP_COPY] > 0.9999
 
     def test_distributions_normalize(self):
         rng = np.random.default_rng(8)
@@ -125,6 +109,7 @@ class TestOperationAndGeneration:
         for _ in range(20):
             tree = random_tree(rng)
             _, out = run_step(encoder, decoder, tree)
+            assert out.op_probs.shape == (1, 2)
             assert abs(out.op_probs.data.sum() - 1.0) < 1e-9
             assert abs(out.gen_probs.data.sum() - 1.0) < 1e-9
             assert np.all(out.gen_probs.data >= 0.0)
@@ -157,7 +142,7 @@ class TestMaskAndCopy:
                 continue
             _, out = run_step(encoder, decoder, tree)
             assert out.copy_probs is not None
-            assert np.all(out.copy_probs.data[~keep] == 0.0)
+            assert np.all(out.copy_probs.data[0, ~keep] == 0.0)
             assert abs(out.copy_probs.data.sum() - 1.0) < 1e-9
 
     def test_fully_decayed_node_probability_exactly_zero(self):
@@ -168,7 +153,7 @@ class TestMaskAndCopy:
         decay = np.zeros(len(tree))
         decay[target] = 1.0
         _, out = run_step(encoder, decoder, tree, decay=decay)
-        assert out.copy_probs.data[target] == 0.0
+        assert out.copy_probs.data[0, target] == 0.0
         assert abs(out.copy_probs.data.sum() - 1.0) < 1e-9
 
     def test_one_hot_when_single_unmasked(self):
@@ -177,43 +162,40 @@ class TestMaskAndCopy:
         _, out = run_step(encoder, decoder, tree)
         keep = decoder.copy_keep_mask(tree)
         assert keep.sum() == 1
-        assert out.copy_probs.data[int(np.flatnonzero(keep)[0])] == 1.0
+        assert out.copy_probs.data[0, int(np.flatnonzero(keep)[0])] == 1.0
 
     def test_renormalized_damping_hand_case(self):
         # uniform base scores, decay [0.5, 0, 0] -> [0.2, 0.4, 0.4]
         _, _, decoder = make_model(seed=12)
-        mat = ad.stack_rows([Tensor(np.zeros(6)) for _ in range(3)])
-        keep = np.array([True, True, True])
-        probs = decoder.copy_distribution(Tensor(np.zeros(6)), mat, keep,
-                                          np.array([0.5, 0.0, 0.0]))
-        assert np.allclose(probs.data, [0.2, 0.4, 0.4], atol=1e-12)
+        mat = Tensor(np.zeros((3, 6)))
+        keep = np.array([[True, True, True]])
+        probs = decoder.copy_distribution(Tensor(np.zeros((1, 6))), mat, keep,
+                                          np.array([[0.5, 0.0, 0.0]]))
+        assert np.allclose(probs.data, [[0.2, 0.4, 0.4]], atol=1e-12)
 
     def test_infeasible_when_all_masked(self):
         _, _, decoder = make_model(seed=12)
-        mat = ad.stack_rows([Tensor(np.zeros(6))])
-        assert decoder.copy_distribution(Tensor(np.zeros(6)), mat,
-                                         np.array([False]), np.zeros(1)) is None
+        assert decoder.copy_distribution(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 6))),
+                                         np.array([[False]]), np.zeros((1, 1))) is None
 
     def test_infeasible_when_fully_decayed(self):
         _, _, decoder = make_model(seed=12)
-        mat = ad.stack_rows([Tensor(np.zeros(6)), Tensor(np.ones(6))])
-        keep = np.array([True, True])
-        assert decoder.copy_distribution(Tensor(np.zeros(6)), mat, keep,
-                                         np.ones(2)) is None
+        mat = Tensor(np.stack([np.zeros(6), np.ones(6)]))
+        keep = np.array([[True, True]])
+        assert decoder.copy_distribution(Tensor(np.zeros((1, 6))), mat, keep,
+                                         np.ones((1, 2))) is None
 
     def test_no_mask_no_decay_equals_plain_softmax(self):
         _, encoder, decoder = make_model(use_mask=False, use_decay=False, seed=13)
         tree = parse_sql("SELECT col FROM t WHERE a = 'v'")
-        enc, mat = encoded(encoder, tree)
-        state = decoder.initial_state(enc, tree)
-        _, out = decoder.step(state, mat, decoder.copy_keep_mask(tree), 1)
-        scores = mat.data @ out.attn_vector.data
+        _, out = run_step(encoder, decoder, tree)
+        scores = encoder.encode(tree).hidden.data @ out.attn_vector.data[0]
         keep = decoder.copy_keep_mask(tree)
         # token-less nodes can never be copied even unmasked
         z = np.exp(scores[keep] - scores[keep].max())
         want = np.zeros(len(tree.nodes))
         want[keep] = z / z.sum()
-        assert np.allclose(out.copy_probs.data, want, atol=1e-12)
+        assert np.allclose(out.copy_probs.data[0], want, atol=1e-12)
 
 
 class TestDecay:
@@ -399,28 +381,51 @@ class TestSampling:
 
 
 class TestStepTape:
-    def test_step_records_sixteen_ops_plus_one_for_damping(self, monkeypatch):
-        # LSTM 4 (rows, lstm, two row reads), attention 6, two heads 2 each,
-        # copy scores and masked softmax 2, and damping 1 when a node decays
+    def test_pass_records_seventeen_ops_plus_one_for_damping(self, monkeypatch):
+        # reads of the node blocks, the roots and the embeddings 3, the LSTM
+        # and its rows 2, attention 6, two heads 2 each, copy scores and
+        # masked softmax 2, and damping 1 when a node decays, however many
+        # steps the sequence has
         _, encoder, decoder = make_model(seed=27)
         tree = parse_sql("SELECT col FROM t WHERE a = 'Two Words'")
-        enc, mat = encoded(encoder, tree)
+        forest = encoder.encode_forest([tree])
         keep = decoder.copy_keep_mask(tree)
         calls = []
         result = ad._result
         monkeypatch.setattr(ad, "_result", lambda *a, **k: calls.append(1) or result(*a, **k))
-        for decay, ops in ((np.zeros(len(tree)), 16), (np.where(keep, 0.5, 0.0), 17)):
-            state = decoder.initial_state(enc, tree)
-            state.decay = decay
-            calls.clear()
-            decoder.step(state, mat, keep, 1)
-            assert len(calls) == ops
+        for steps in (1, 4):
+            for decay, ops in ((np.zeros(len(tree)), 17), (np.where(keep, 0.5, 0.0), 18)):
+                calls.clear()
+                decoder.teacher_forced(forest, [KnownSequence(0, [BOS] * steps,
+                                                              np.tile(decay, (steps, 1)))])
+                assert len(calls) == ops
+
+
+class TestGradientProbe:
+    def test_decoder_probe_checks_every_parameter(self, monkeypatch):
+        # the encoder makes its gate weights on its first encode, so the
+        # probe must run once before it picks the tensors to perturb
+        checked = {}
+
+        def record(loss, params, **kwargs):
+            checked.update(params)
+            return 0.0
+
+        monkeypatch.setattr(checks, "finite_difference_check", record)
+        checks.decoder_step_check(seed=0)
+        _, encoder, decoder = checks._toy_model(0)
+        example_tree = parse_sql(checks.GOLDEN_SQL)
+        decoder.teacher_forced(encoder.encode_forest([example_tree]),
+                               [KnownSequence(0, [1], np.zeros((1, len(example_tree))))])
+        names = {name for name, _ in encoder.store.items()}
+        assert any(name.startswith("enc.f.U") for name in names)
+        assert set(checked) == names
 
 
 class TestTeacherForced:
     """``teacher_forced`` runs the heads once over all positions; row t must
-    equal what ``step`` returns at step t from the same fed token and decay
-    row, and the gradients through both must agree."""
+    equal the oracle's step t from the same fed token and decay row, and the
+    gradients through both must agree."""
 
     @staticmethod
     def trees(rng):
@@ -464,14 +469,11 @@ class TestTeacherForced:
             forced_grads = {name: p.grad.copy() for name, p in store.items()}
 
             store.zero_grads()
-            enc = encoder.encode(tree)
-            mat = enc.hidden
-            keep = decoder.copy_keep_mask(tree)
-            state = decoder.initial_state(enc, tree)
+            oracle = StepOracle(decoder, encoder.encode(tree), tree)
             terms = []
             for t, prev in enumerate(prev_ids):
-                state.decay = decay[t]
-                state, out = decoder.step(state, mat, keep, prev)
+                oracle.decay = decay[t:t + 1]
+                out = oracle.step(prev)
                 for name, w in weights.items():
                     got, want = getattr(forced, name), getattr(out, name)
                     if name == "copy_probs" and got is not None and want is None:
@@ -482,9 +484,9 @@ class TestTeacherForced:
                     if want is None:
                         assert got is None, name
                         continue
-                    assert np.allclose(got.data[t], want.data, rtol=0.0, atol=1e-12), name
+                    assert np.allclose(got.data[t], want.data[0], rtol=0.0, atol=1e-12), name
                     seen["feasible"] += name == "copy_probs"
-                    terms.append((name, want, w[t]))
+                    terms.append((name, want, w[t:t + 1]))
             self.probe(terms).backward()
             for name, p in store.items():
                 assert np.allclose(forced_grads[name], p.grad, rtol=0.0, atol=1e-12), name
@@ -502,8 +504,9 @@ class TestTeacherForced:
 
 class TestScoreTrajectory:
     """``score_trajectory`` scores a decoded trajectory in one teacher-forced
-    pass; it must equal the step-by-step replay in value and in parameter
-    gradients, and the replay must reproduce the floats decoding recorded."""
+    pass; it must equal the oracle's step-by-step replay in value and in
+    parameter gradients, and the replay must reproduce the floats decoding
+    recorded."""
 
     @staticmethod
     def trees(rng):
@@ -543,14 +546,14 @@ class TestScoreTrajectory:
                 for (op, word), a, b in zip(pairs, w_op, w_word):
                     term = ad.add(ad.mul(op, float(a)), ad.mul(word, float(b)))
                     total = term if total is None else ad.add(total, term)
-                total.backward()
+                ad.sumall(total).backward()
                 for name, p in store.items():
                     assert np.allclose(scored_grads[name], p.grad, rtol=0.0, atol=1e-12), name
 
                 for t, (rec, (op, word)) in enumerate(zip(steps, pairs)):
-                    assert (rec.logp_op, rec.logp_word) == (float(op.data), float(word.data))
-                    assert abs(lo.data[t] - op.data) <= 1e-12
-                    assert abs(lw.data[t] - word.data) <= 1e-12
+                    assert (rec.logp_op, rec.logp_word) == (op.data[0], word.data[0])
+                    assert abs(lo.data[t] - op.data[0]) <= 1e-12
+                    assert abs(lw.data[t] - word.data[0]) <= 1e-12
                     forced = not op.requires_grad
                     if forced:
                         assert lo.data[t] == 0.0
@@ -708,21 +711,22 @@ class TestLockstep:
         assert all(e["action"] == "generate" for e in traces[1]) or flags.get("use_mask") is False
 
     def test_one_tree_reproduces_single_steps_exactly(self):
+        # a chunk of one tree gives the oracle's floats bit for bit
         encoder, decoder = self.model({})
         for tree in self.chunk(np.random.default_rng(1)):
             enc = encoder.encode(tree)
             trace = []
             decoder.decode_greedy(enc, tree, max_len=8, trace=trace)
-            keep = decoder.copy_keep_mask(tree)
-            state = decoder.initial_state(enc, tree)
+            oracle = StepOracle(decoder, enc, tree)
             prev = BOS
             for entry in trace:
-                state, out = decoder.step(state, enc.hidden, keep, prev)
-                assert entry["op_probs"] == [float(p) for p in out.op_probs.data]
-                assert entry["decay"] == [round(float(x), 6) for x in state.decay]
+                with ad.no_grad():
+                    out = oracle.step(prev)
+                assert entry["op_probs"] == [float(p) for p in out.op_probs.data[0]]
+                assert entry["decay"] == [round(float(x), 6) for x in oracle.decay[0]]
                 if entry["emitted"]:
                     prev = decoder.vocab.id_of(entry["emitted"][-1])
-                decoder._advance_decay(state, entry["node"])
+                oracle.advance(entry["node"])
 
     def test_empty_chunk_and_max_len(self):
         encoder, decoder = self.model({})

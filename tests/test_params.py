@@ -160,6 +160,15 @@ class TestClip:
             norms.append(clip_global_norm(store, 10.0))
         assert norms[0] == norms[1] == math.sqrt(1e16 + 2.0)
 
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, float("nan")])
+    def test_rejects_a_bound_that_is_not_positive(self, max_norm):
+        # a negative bound would flip every gradient, and NaN would clip nothing
+        store = ParamStore()
+        store.get("a", (1,)).grad = np.array([3.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_global_norm(store, max_norm)
+        assert store["a"].grad.tolist() == [3.0]
+
 
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path):

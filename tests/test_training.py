@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import WORDS, make_model, random_tree, word_vocab
+from conftest import WORDS, StepOracle, make_model, random_tree, replay_trajectory, word_vocab
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_decoder import replay_trajectory
 
 from treecomment import autodiff as ad
 from treecomment import metrics
@@ -186,16 +185,13 @@ class TestMleLoss:
         ex = Example(tree=tree, comment=("hello",))
         loss = mle_loss(ex, encoder, decoder)
         # hand composition: -(log p1 + log p_eos)
-        enc = encoder.encode(tree)
-        mat = enc.hidden
-        keep = decoder.copy_keep_mask(tree)
-        state = decoder.initial_state(enc, tree)
-        state, out = decoder.step(state, mat, keep, 1)
+        oracle = StepOracle(decoder, encoder.encode(tree), tree)
+        out = oracle.step(1)
         hello = decoder.vocab.id_of("hello")
-        p1 = out.op_probs.data[OP_GEN] * out.gen_probs.data[hello]
-        state.decay = state.decay * decoder.config.decay_factor
-        state, out2 = decoder.step(state, mat, keep, hello)
-        p2 = out2.op_probs.data[OP_GEN] * out2.gen_probs.data[EOS]
+        p1 = out.op_probs.data[0, OP_GEN] * out.gen_probs.data[0, hello]
+        oracle.advance(None)
+        out2 = oracle.step(hello)
+        p2 = out2.op_probs.data[0, OP_GEN] * out2.gen_probs.data[0, EOS]
         want = -(math.log(p1) + math.log(p2))
         assert abs(float(loss.data) - want) < 1e-12
 
@@ -230,27 +226,25 @@ class TestMleLoss:
         ex = Example(tree=tree, comment=("x", "y", "col"))
         loss = mle_loss(ex, encoder, decoder)
 
-        enc = encoder.encode(tree)
-        mat = enc.hidden
+        oracle = StepOracle(decoder, encoder.encode(tree), tree)
         keep = decoder.copy_keep_mask(tree)
-        state = decoder.initial_state(enc, tree)
         expected = 0.0
         prev = 1  # BOS
         col_nodes = [n.id for n in tree.nodes
                      if keep[n.id] and tuple(t.lower() for t in n.tokens) == ("col",)]
         for token in ("x", "y", "col", None):
-            state, out = decoder.step(state, mat, keep, prev)
+            out = oracle.step(prev)
+            op, gen = out.op_probs.data[0], out.gen_probs.data[0]
             if token is None:
-                p = out.op_probs.data[OP_GEN] * out.gen_probs.data[EOS]
+                p = op[OP_GEN] * gen[EOS]
             else:
                 tid = decoder.vocab.id_of(token)
-                p = out.op_probs.data[OP_GEN] * out.gen_probs.data[tid]
+                p = op[OP_GEN] * gen[tid]
                 if token == "col":
-                    p += out.op_probs.data[OP_COPY] * \
-                        out.copy_probs.data[col_nodes].sum()
+                    p += op[OP_COPY] * out.copy_probs.data[0, col_nodes].sum()
                 prev = tid
             expected -= math.log(p)
-            state.decay = state.decay * decoder.config.decay_factor
+            oracle.advance(None)
         assert abs(float(loss.data) - expected) < 1e-12
 
     def test_finite_difference_on_mle(self):
@@ -367,6 +361,7 @@ class TestHrlLoss:
             for (lo, lw), adv in zip(replay_trajectory(decoder, enc, tree, traj), advantage):
                 term = ad.mul(ad.add(lo, lw), -float(adv))
                 replayed = term if replayed is None else ad.add(replayed, term)
+            replayed = ad.sumall(replayed)
             assert abs(float(replayed.data) - float(surrogate.data)) <= 1e-12
             assert reward == float(per_step.sum())
             replayed.backward()
