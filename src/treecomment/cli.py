@@ -46,8 +46,8 @@ DATA_ERRORS = (ValueError, KeyError, OSError)
 RUN_FILES = ("config.cfg", "vocab.src.txt", "vocab.tgt.txt", "checkpoint.bin",
              "checkpoint.final.bin")
 
-CSV_COLUMNS = ("step", "mu", "loss_mle", "loss_hrl", "reward_mean",
-               "dev_bleu4", "dev_rouge2", "dev_rougeL")
+CSV_COLUMNS = ("step", "mu", "loss_mle", "loss_hrl", "reward_mean", "guard_hits",
+               "copy_rate", "dev_bleu4", "dev_rouge2", "dev_rougeL")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,26 +18,32 @@ read node states in one form with two layouts (``autodiff.block_matmul``):
 one node matrix for every row, or a stack of node blocks, one per equal run
 of rows. Decoding chooses each step's input from the last step's output, so
 it runs ``step`` in one unrecorded loop, ``_rollout``, for greedy and
-sampled decoding (an argmax or a Gumbel-Max chooser). The loop decodes a
-chunk of trees in lockstep: one LSTM cell over the states of the trees
-still decoding and the heads once over those rows, which share the chunk's
-concatenated node matrix, one block; per-row masks keep each row to its
-own tree's nodes, and each row has its own decay row and choices. A row
-stops at EOS or after ``max_len`` steps. ``decode_greedy`` and
-``decode_sample`` are chunks of one tree, which owns every node and so
-attends without a mask. Wherever every input is known up front,
-``teacher_forced`` scores many sequences (``KnownSequence``: a likelihood
-target or a sampled trajectory) in one traced pass: one LSTM op runs them
-side by side, padded to the longest, and the heads run once over all their
-rows, each sequence attending over its own node block, padded to the
-widest tree.
+sampled decoding. The loop decodes a chunk of trees in lockstep: one LSTM
+cell over the states of the trees still decoding and the heads once over
+those rows, which share the chunk's concatenated node matrix, one block;
+per-row masks keep each row to its own tree's nodes, and each row has its
+own decay row and choices. A row stops at EOS or after ``max_len`` steps.
+A chooser picks every live row's operation and word or node from a step's
+outputs: greedy decoding takes each row's argmax in turn, and sampling
+draws Gumbel-Max noise from one generator, one matrix per stage over the
+rows that reach it, in this order: the operations of the rows where
+copying is feasible, then the words of the rows that generate, then the
+nodes of the rows that copy, over the chunk's columns (masked zeros become
+-inf and never win). A chunk of one tree therefore draws what a lone tree
+always drew. ``decode_greedy`` and ``decode_sample`` are chunks of one
+tree, which owns every node and so attends without a mask. Wherever every
+input is known up front, ``teacher_forced`` scores many sequences
+(``KnownSequence``: a likelihood target or a sampled trajectory) in one
+traced pass: one LSTM op runs them side by side, padded to the longest, and
+the heads run once over all their rows, each sequence attending over its
+own node block, padded to the widest tree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -232,6 +238,8 @@ class TreeDecoder:
         padded to the widest tree. Padding is computed but must not be read.
         Each row equals what ``step`` returns from the same inputs up to
         summation order."""
+        if not sequences:
+            raise ValueError("teacher_forced: empty batch, no sequences to score")
         trees = [forest.trees[s.tree] for s in sequences]
         lengths = np.array([len(s.prev_ids) for s in sequences])
         sizes = np.array([len(tree) for tree in trees])
@@ -324,39 +332,17 @@ class TreeDecoder:
     def _prev_id(self, token: str | None) -> int:
         return BOS if token is None else self.vocab.id_of(token)
 
-    def _choose(self, out: StepOutput, r: int, feasible: bool,
-                choose: Callable[[np.ndarray], int], tree: TokenTypeTree,
-                offset: int) -> tuple[TrajectoryStep, int]:
-        """Row ``r``'s action at a step whose node columns for ``tree`` start
-        at ``offset``: the operation where copying is ``feasible`` (else
-        generate, with log-probability 0), then the node or word. Returns
-        the record and the chosen column."""
-        if feasible:
-            op = choose(out.op_probs.data[r])
-            logp_op = float(np.log(out.op_probs.data[r, op]))
-        else:
-            op, logp_op = OP_GEN, 0.0
-        probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data[r]
-        column = choose(probs)
-        if op == OP_COPY:
-            choice = column - offset
-            emitted = node_surface(tree.node(choice).tokens)
-        else:
-            choice = column
-            emitted = () if choice == EOS else (self.vocab.token_of(choice),)
-        return TrajectoryStep(action=op, choice=choice, tokens=emitted, logp_op=logp_op,
-                              logp_word=float(np.log(probs[column]))), column
-
     def _rollout(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
-                 choose: Callable[[np.ndarray], int], max_len: int | None,
+                 choose: Chooser, max_len: int | None,
                  traces: Sequence[list] | None = None) -> list[Trajectory]:
         """Decode every (encoder output, tree) pair in lockstep, recording no
         op. Row i of each step is tree i's: it attends over and copies from
         its own block of the chunk's concatenated node matrix, and keeps its
-        own decay row. ``choose`` picks each row's operation from its
-        probabilities where copying is feasible, then the node or word. A
-        row stops at EOS or after ``max_len`` steps and leaves the live
-        rows. ``traces``, when given, collects one entry per step and tree.
+        own decay row. ``choose`` picks each live row's operation (where
+        copying is feasible; else generate, with log-probability 0), then
+        its node column or word. A row stops at EOS or after ``max_len``
+        steps and leaves the live rows. ``traces``, when given, collects one
+        entry per step and tree.
         """
         max_len = self._max_len(max_len)
         if not encoded:
@@ -384,9 +370,16 @@ class TreeDecoder:
                 feasible = np.zeros(len(live), dtype=bool) if out.copy_probs is None \
                     else out.copy_probs.data.any(axis=1)
                 going, prev, copied_rows, copied_nodes = [], [], [], []
-                for r, i in enumerate(live):
-                    rec, column = self._choose(out, r, feasible[r], choose, trees[i],
-                                               offsets[i])
+                for r, (i, (op, column, logp_op, logp_word)) in enumerate(
+                        zip(live, choose(out, feasible))):
+                    if op == OP_COPY:
+                        choice = column - offsets[i]
+                        emitted = node_surface(trees[i].node(choice).tokens)
+                    else:
+                        choice = column
+                        emitted = () if choice == EOS else (self.vocab.token_of(choice),)
+                    rec = TrajectoryStep(action=op, choice=choice, tokens=emitted,
+                                         logp_op=logp_op, logp_word=logp_word)
                     results[i].steps.append(rec)
                     if traces is not None:
                         block = slice(offsets[i], offsets[i + 1])
@@ -394,11 +387,11 @@ class TreeDecoder:
                             t, out.attn_weights.data[r, block],
                             None if out.op_probs is None else out.op_probs.data[r],
                             rec, state.decay[r, block]))
-                    if rec.action == OP_GEN and rec.choice == EOS:
+                    if op == OP_GEN and choice == EOS:
                         continue
-                    results[i].tokens.extend(rec.tokens)
-                    prev.append(self._prev_id(rec.tokens[-1]))
-                    if rec.action == OP_COPY:
+                    results[i].tokens.extend(emitted)
+                    prev.append(self._prev_id(emitted[-1]))
+                    if op == OP_COPY:
                         copied_rows.append(len(going))
                         copied_nodes.append(column)
                     going.append(r)
@@ -426,7 +419,7 @@ class TreeDecoder:
         lockstep; ``traces``, when given, holds one list per pair. Each
         output is the single-tree output up to summation order: a near-tie
         in an argmax may break the other way."""
-        return [t.tokens for t in self._rollout(encoded, _argmax, max_len, traces)]
+        return [t.tokens for t in self._rollout(encoded, _greedy, max_len, traces)]
 
     def decode_sample(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       rng: np.random.Generator, max_len: int | None = None) -> Trajectory:
@@ -437,20 +430,70 @@ class TreeDecoder:
         word as floats; their sum is the log of the trajectory's joint
         probability. ``score_trajectory`` gives them traced.
         """
-        return self._rollout([(encoder_output, tree)],
-                             lambda probs: _gumbel_pick(probs, rng), max_len)[0]
+        return self.decode_sample_batch([(encoder_output, tree)], rng, max_len)[0]
+
+    def decode_sample_batch(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
+                            rng: np.random.Generator,
+                            max_len: int | None = None) -> list[Trajectory]:
+        """``decode_sample`` of every (encoder output, tree) pair, sampled in
+        lockstep from the one generator ``rng``: at each step one Gumbel
+        matrix per stage over the rows that reach it (see the module
+        docstring). A pair alone draws exactly what ``decode_sample`` draws;
+        in a larger chunk, each row's draws depend on the other rows'."""
+        return self._rollout(encoded, _sampler(rng), max_len)
 
 
-def _argmax(probs: np.ndarray) -> int:
-    return int(probs.argmax())
+# a step's choices: from its outputs and the rows where copying is feasible,
+# each live row's (operation, node column or word, log p(op), log p(word))
+Chooser = Callable[[StepOutput, np.ndarray], Iterable[tuple[int, int, float, float]]]
 
 
-def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> int:
-    # argmax over log p + Gumbel noise == one categorical draw; exact zeros
-    # become -inf and can never win
+def _greedy(out: StepOutput, feasible: np.ndarray) -> list[tuple[int, int, float, float]]:
+    """The argmax at both stages, row by row."""
+    chosen = []
+    for r, can_copy in enumerate(feasible):
+        if can_copy:
+            op = int(out.op_probs.data[r].argmax())
+            logp_op = float(np.log(out.op_probs.data[r, op]))
+        else:
+            op, logp_op = OP_GEN, 0.0
+        probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data[r]
+        column = int(probs.argmax())
+        chosen.append((op, column, logp_op, float(np.log(probs[column]))))
+    return chosen
+
+
+def _sampler(rng: np.random.Generator) -> Chooser:
+    """The Gumbel-Max chooser: one draw per stage over the rows that reach
+    it, the operations of the rows where copying is feasible first, then
+    the words of the generating rows, then the nodes of the copying rows."""
+    def choose(out: StepOutput, feasible: np.ndarray) -> Iterable[tuple[int, int, float, float]]:
+        rows = np.arange(len(feasible))
+        op = np.full(len(rows), OP_GEN)
+        logp_op = np.zeros(len(rows))
+        if feasible.any():
+            can_copy = rows[feasible]
+            probs = out.op_probs.data[can_copy]
+            op[can_copy] = _gumbel_pick(probs, rng)
+            logp_op[can_copy] = np.log(probs[np.arange(len(can_copy)), op[can_copy]])
+        column = np.zeros(len(rows), dtype=int)
+        p_word = np.zeros(len(rows))
+        for kind, dist in ((OP_GEN, out.gen_probs), (OP_COPY, out.copy_probs)):
+            these = rows[op == kind]
+            if len(these):
+                probs = dist.data[these]
+                column[these] = _gumbel_pick(probs, rng)
+                p_word[these] = probs[np.arange(len(these)), column[these]]
+        return zip(op.tolist(), column.tolist(), logp_op.tolist(), np.log(p_word).tolist())
+    return choose
+
+
+def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One categorical draw per row of ``probs`` (the last axis): the argmax
+    of log p plus Gumbel noise; exact zeros become -inf and never win."""
     with np.errstate(divide="ignore"):
         logits = np.log(probs)
-    return int(np.argmax(logits + rng.gumbel(size=probs.shape)))
+    return np.argmax(logits + rng.gumbel(size=probs.shape), axis=-1)
 
 
 def _trace_entry(step: int, attention: np.ndarray, op_probs: np.ndarray | None,

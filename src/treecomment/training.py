@@ -7,12 +7,13 @@ token plus the copy-branch probability summed over every copyable node whose
 full surface matches the aligned span (a matched multi-token span is consumed
 by one step). The policy-gradient surrogate is plain REINFORCE over sampled
 trajectories with per-step reward-to-go and an exponential-moving-average
-baseline. A step encodes its batch with one encoder op, samples every
-example in turn (without recording) where it weighs the surrogate, and then
-scores every likelihood target and every sample, each a known sequence of
-fed tokens and decay rows, in one ``TreeDecoder.teacher_forced`` pass with
-one backward. Each example's loss sums its own rows, so the log keeps
-per-example means. One example is a batch of one.
+baseline. A step encodes its batch with one encoder op, samples its
+examples in lockstep (without recording, ``EVAL_BATCH`` rows at a time)
+where it weighs the surrogate, and then scores every likelihood target and
+every sample, each a known sequence of fed tokens and decay rows, in one
+``TreeDecoder.teacher_forced`` pass with one backward. Each example's loss
+sums its own rows, so the log keeps per-example means. One example is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -301,18 +302,22 @@ def _objective(examples: Example | Sequence[Example], encoder: TreeEncoder,
     """The sum over ``examples`` (example i's tree is tree i of ``forest``,
     made here when None) of mu times the likelihood loss plus 1 - mu times
     the REINFORCE surrogate, with ``parts`` as ``mixed_loss`` reports them.
-    Where mu < 1, every example is sampled from ``rng`` in turn first."""
+    Where mu < 1, the examples are first sampled from ``rng`` in lockstep,
+    one ``TreeDecoder.decode_sample_batch`` chunk of ``EVAL_BATCH`` at a
+    time; a lone example draws what ``decode_sample`` draws."""
     examples = [examples] if isinstance(examples, Example) else examples
+    if not examples:
+        raise ValueError("empty batch: no examples to score")
     if forest is None:
         forest = encoder.encode_forest([ex.tree for ex in examples])
     parts: dict = {"mu": mu, "loss_mle": None, "loss_hrl": None, "reward": None,
-                   "units": None, "guards": None}
+                   "units": None, "guards": None, "copy_rate": None}
     sequences, units, trajectories = [], [], []
     if mu < 1.0:
         with ad.no_grad():
-            encoded = [forest.output(i) for i in range(len(examples))]
-        trajectories = [decoder.decode_sample(enc, ex.tree, rng)
-                        for enc, ex in zip(encoded, examples)]
+            encoded = [(forest.output(i), ex.tree) for i, ex in enumerate(examples)]
+        for start in range(0, len(encoded), EVAL_BATCH):
+            trajectories += decoder.decode_sample_batch(encoded[start:start + EVAL_BATCH], rng)
     if mu > 0.0:
         for i, ex in enumerate(examples):
             units.append(segment_target(ex.comment, ex.tree, decoder))
@@ -347,8 +352,10 @@ def _objective(examples: Example | Sequence[Example], encoder: TreeEncoder,
             - baseline_value
         logp = ad.add(*decoder.step_logprobs(out, rows[len(flat):],
                                              [s for traj in trajectories for s in traj.steps]))
+        copies = sum(s.action == OP_COPY for traj in trajectories for s in traj.steps)
         parts.update(reward=[float(r.sum()) for r in per_step], loss_hrl=np.bincount(
-            owner, logp.data * -advantage, len(trajectories)).tolist())
+            owner, logp.data * -advantage, len(trajectories)).tolist(),
+            copy_rate=copies / len(owner))
         surrogate = ad.dot(logp, Tensor(-advantage))
         terms.append(surrogate if mu == 0.0 else ad.mul(surrogate, 1.0 - mu))
     return (terms[0] if len(terms) == 1 else ad.add(*terms)), parts
@@ -434,12 +441,14 @@ def mixed_loss(examples: Example | Sequence[Example], encoder: TreeEncoder,
                rng: np.random.Generator, baseline: Baseline,
                forest: Forest | None = None) -> tuple[Tensor, dict]:
     """The step's mix of likelihood and REINFORCE surrogate, averaged over a
-    batch of examples; one example is a batch of one. Every example is
-    sampled first, in turn, then the likelihood targets and the samples are
-    scored in one teacher-forced pass. ``forest`` is the batch's encoding
-    when the caller already has it. ``parts`` reports each objective's
-    per-example values and, with the likelihood, its target ``units`` and
-    loss ``guards`` (see ``mle_loss``); an absent objective reads None."""
+    batch of examples; one example is a batch of one. Where the surrogate
+    has weight, the examples are sampled first, in lockstep (see
+    ``_objective``), then the likelihood targets and the samples are scored
+    in one teacher-forced pass. ``forest`` is the batch's encoding when the
+    caller already has it. ``parts`` reports each objective's per-example
+    values; with the likelihood, its target ``units`` and loss ``guards``
+    (see ``mle_loss``); and with the samples, the share of their steps that
+    copied (``copy_rate``). An absent objective reads None."""
     mu = mle_weight(step, cfg.total_steps, cfg.mle_only)
     batch = [examples] if isinstance(examples, Example) else examples
     if mu == 1.0:  # through ``mle_loss``, so a profile of the step names it
@@ -606,6 +615,8 @@ def train(train_examples: Sequence[Example], dev_examples: Sequence[Example],
                 "loss_mle": float(np.mean(mle_vals)) if mle_vals else None,
                 "loss_hrl": float(np.mean(hrl_vals)) if hrl_vals else None,
                 "reward_mean": float(np.mean(rewards)) if rewards else None,
+                "guard_hits": parts["guards"],
+                "copy_rate": parts["copy_rate"],
                 "dev_bleu4": None, "dev_rouge2": None, "dev_rougeL": None,
             }
             if step % cfg.eval_every == 0 or step == cfg.total_steps:

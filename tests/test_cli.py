@@ -204,6 +204,24 @@ class TestTrainGenerateEvaluate:
             (run_b / "checkpoint.bin").read_bytes()
         assert (run_a / "log.csv").read_bytes() == (run_b / "log.csv").read_bytes()
 
+    def test_log_reports_guards_and_copy_rate_and_repeats(self, tmp_path, corpus_path,
+                                                          capsys):
+        runs = [tmp_path / "run_a", tmp_path / "run_b"]
+        for run_dir in runs:
+            code, _, err = run(train_args(corpus_path, run_dir, ["--set", "mle_only=false"]),
+                               capsys)
+            assert code == 0, err
+        log = (runs[0] / "log.csv").read_bytes()
+        assert log == (runs[1] / "log.csv").read_bytes()
+        header, *rows = [line.split(",") for line in log.decode().splitlines()]
+        assert tuple(header) == cli.CSV_COLUMNS
+        field = {name: [row[header.index(name)] for row in rows]
+                 for name in ("mu", "guard_hits", "copy_rate")}
+        assert all(hits.isdigit() for hits in field["guard_hits"])
+        # the first step weighs only the likelihood, so it samples nothing
+        assert float(field["mu"][0]) == 1.0 and field["copy_rate"][0] == ""
+        assert all(0.0 <= float(rate) <= 1.0 for rate in field["copy_rate"][1:])
+
     def test_aborted_run_exits_three_and_says_so(self, tmp_path, corpus_path, capsys,
                                                  monkeypatch):
         real_train = cli.train

@@ -734,3 +734,201 @@ class TestLockstep:
         tree = parse_sql("SELECT col FROM t")
         with pytest.raises(ValueError, match="max_len"):
             decoder.decode_greedy_batch([(encoder.encode(tree), tree)], max_len=0)
+
+
+def reference_sample(decoder, enc, tree, rng, max_len):
+    """A lone tree sampled as it always has been, one oracle step at a
+    time: where copying is feasible the operation draws ``rng.gumbel`` over
+    its 2 entries, then the word or node draws it over its distribution.
+    Each step is (action, choice, log p(op), log p(word))."""
+    oracle = StepOracle(decoder, enc, tree)
+    prev, steps = BOS, []
+
+    def draw(probs):
+        with np.errstate(divide="ignore"):
+            return int(np.argmax(np.log(probs) + rng.gumbel(size=probs.shape)))
+
+    with ad.no_grad():
+        for _ in range(max_len):
+            out = oracle.step(prev)
+            if out.copy_probs is not None and out.copy_probs.data[0].any():
+                op = draw(out.op_probs.data[0])
+                logp_op = float(np.log(out.op_probs.data[0, op]))
+            else:
+                op, logp_op = OP_GEN, 0.0
+            probs = (out.copy_probs if op == OP_COPY else out.gen_probs).data[0]
+            choice = draw(probs)
+            steps.append((op, choice, logp_op, float(np.log(probs[choice]))))
+            if op == OP_GEN and choice == EOS:
+                break
+            tokens = tree.node(choice).tokens if op == OP_COPY \
+                else (decoder.vocab.token_of(choice),)
+            prev = decoder.vocab.id_of(tokens[-1].lower())
+            oracle.advance(choice if op == OP_COPY else None)
+    return steps
+
+
+def hex_steps(trajectory):
+    return [(s.action, s.choice, s.tokens, s.logp_op.hex(), s.logp_word.hex())
+            for s in trajectory.steps]
+
+
+class TestLockstepSampling:
+    """``decode_sample_batch`` samples a chunk of trees in lockstep from one
+    generator, one Gumbel draw per stage over the rows that reach it. A
+    chunk of one tree draws exactly what a lone tree always drew; in a
+    larger chunk each row is still a draw from its own tree's
+    distributions, and records what ``score_trajectory`` scores."""
+
+    @staticmethod
+    def chunk():
+        nothing = TokenTypeTree(nodes=(Node(0, "stmt", (), (1,)), Node(1, "cmp_op", ("=",), ())),
+                                grammar="wikisql")  # nothing copyable under the mask
+        return [parse_sql("SELECT col FROM t WHERE a = 'Two Words'"), nothing,
+                random_tree(np.random.default_rng(3))]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_one_pair_equals_decode_sample_and_the_lone_tree_draws(self, flags):
+        encoder, decoder = TestLockstep.model(flags)
+        trees = self.chunk() + TestLockstep.chunk(np.random.default_rng(2))[2:]
+        for k, tree in enumerate(trees):
+            enc = encoder.encode(tree)
+            max_len = k % 6 + 1
+            batch = decoder.decode_sample_batch([(enc, tree)], np.random.default_rng(k), max_len)
+            alone = decoder.decode_sample(enc, tree, np.random.default_rng(k), max_len)
+            assert len(batch) == 1 and hex_steps(batch[0]) == hex_steps(alone)
+            assert batch[0].tokens == alone.tokens
+            want = reference_sample(decoder, enc, tree, np.random.default_rng(k), max_len)
+            assert [(s.action, s.choice, s.logp_op.hex(), s.logp_word.hex())
+                    for s in alone.steps] == \
+                [(op, choice, lo.hex(), lw.hex()) for op, choice, lo, lw in want]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_chunk_records_what_score_trajectory_scores(self, flags):
+        encoder, decoder = TestLockstep.model(flags)
+        trees = self.chunk()
+        encoded = list(zip(encoder.encode_batch(trees), trees))
+        forest = encoder.encode_forest(trees)
+        rng = np.random.default_rng(60)
+        seen = {"staggered": 0, "truncated": 0, "copies": 0}
+        for _ in range(12):
+            trajectories = decoder.decode_sample_batch(encoded, rng, max_len=5)
+            lo, lw = decoder.score_trajectory(forest, trajectories)
+            steps = [s for t in trajectories for s in t.steps]
+            assert len(lo.data) == len(steps)
+            assert np.abs(lo.data - [s.logp_op for s in steps]).max() <= 1e-12
+            assert np.abs(lw.data - [s.logp_word for s in steps]).max() <= 1e-12
+            ends = {len(t.steps) for t in trajectories
+                    if (t.steps[-1].action, t.steps[-1].choice) == (OP_GEN, EOS)}
+            seen["staggered"] += len(ends) >= 2
+            seen["truncated"] += any(len(t.steps) == 5 and t.steps[-1].choice != EOS
+                                     for t in trajectories)
+            seen["copies"] += sum(s.action == OP_COPY for s in steps)
+            if flags.get("use_mask", True):  # the second tree can never copy
+                assert all(s.action == OP_GEN and s.logp_op == 0.0
+                           for s in trajectories[1].steps)
+        assert seen["staggered"] and seen["truncated"], seen
+        assert (seen["copies"] == 0) == bool(flags.get("generate_only")), seen
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_draws_one_matrix_per_stage(self, flags):
+        # per step: the operations of the rows that may copy, then the words
+        # of the generating rows, then the nodes of the copying rows over
+        # every column of the chunk
+        encoder, decoder = TestLockstep.model(flags)
+        trees = self.chunk()
+        encoded = list(zip(encoder.encode_batch(trees), trees))
+        shapes, rng = [], np.random.default_rng(64)
+
+        class Recording:
+            def gumbel(self, size):
+                shapes.append(size)
+                return rng.gumbel(size=size)
+
+        mixed = 0  # steps where some rows generate and others copy
+        for _ in range(10):
+            shapes.clear()
+            trajectories = decoder.decode_sample_batch(encoded, Recording(), max_len=5)
+            want = []
+            for t in range(5):
+                steps = [traj.steps[t] for traj in trajectories if len(traj.steps) > t]
+                chose = sum(s.logp_op != 0.0 for s in steps)
+                gen = sum(s.action == OP_GEN for s in steps)
+                want += [(chose, 2)] if chose else []
+                want += [(gen, len(decoder.vocab))] if gen else []
+                want += [(len(steps) - gen, sum(map(len, trees)))] if gen < len(steps) else []
+                mixed += 0 < gen < len(steps)
+            assert shapes == want
+        assert (mixed == 0) == bool(flags.get("generate_only"))
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=FLAG_IDS)
+    def test_first_step_frequencies_match_each_lone_tree(self, flags):
+        encoder, decoder = TestLockstep.model(flags)
+        trees = self.chunk()
+        encoded = list(zip(encoder.encode_batch(trees), trees))
+        draws = 3000
+        counts = [{} for _ in trees]
+        rng = np.random.default_rng(61)
+        for _ in range(draws):
+            for count, trajectory in zip(counts, decoder.decode_sample_batch(encoded, rng, 1)):
+                step = trajectory.steps[0]
+                count[step.action, step.choice] = count.get((step.action, step.choice), 0) + 1
+        for (enc, tree), count in zip(encoded, counts):
+            with ad.no_grad():
+                out = StepOracle(decoder, enc, tree).step(BOS)
+            gen = out.gen_probs.data[0]
+            if out.copy_probs is None or not out.copy_probs.data[0].any():
+                p_op, copy = {OP_GEN: 1.0}, np.zeros(len(tree))
+            else:
+                p_op = dict(enumerate(out.op_probs.data[0]))
+                copy = out.copy_probs.data[0]
+            outcomes = {(OP_GEN, w): p_op[OP_GEN] * p for w, p in enumerate(gen)}
+            outcomes.update({(OP_COPY, n): p_op.get(OP_COPY, 0.0) * p
+                             for n, p in enumerate(copy)})
+            assert set(count) <= {key for key, p in outcomes.items() if p > 0.0}
+            # the operation, then each word and node
+            ops = {op: sum(p for (o, _), p in outcomes.items() if o == op) for op in p_op}
+            freqs = [(sum(c for (o, _), c in count.items() if o == op), p)
+                     for op, p in ops.items()]
+            freqs += [(count.get(key, 0), p) for key, p in outcomes.items()]
+            for hits, p in freqs:
+                se = np.sqrt(p * (1.0 - p) / draws)
+                assert abs(hits / draws - p) <= 4.0 * se + 1e-12, (hits, p)
+
+    def test_training_batch_samples_one_rollout_per_chunk(self, monkeypatch):
+        from treecomment.corpus import Example
+        from treecomment.training import EVAL_BATCH, _objective, reward_function
+        encoder, decoder = TestLockstep.model({})
+        rng = np.random.default_rng(62)
+        examples = [Example(tree=random_tree(rng), comment=("alpha",))
+                    for _ in range(EVAL_BATCH + 1)]
+        chunks, rollout = [], decoder._rollout
+
+        def counted(encoded, *args, **kwargs):
+            chunks.append(rollout(encoded, *args, **kwargs))
+            return chunks[-1]
+
+        monkeypatch.setattr(decoder, "_rollout", counted)
+        _, parts = _objective(examples, encoder, decoder, None, 0.5, np.random.default_rng(63),
+                              reward_function("bleu4"))
+        assert [len(chunk) for chunk in chunks] == [EVAL_BATCH, 1]
+        # the chunks draw from one generator, in turn
+        monkeypatch.undo()
+        forest = encoder.encode_forest([ex.tree for ex in examples])
+        encoded = [(forest.output(i), ex.tree) for i, ex in enumerate(examples)]
+        rng = np.random.default_rng(63)
+        want = decoder.decode_sample_batch(encoded[:-1], rng) + \
+            decoder.decode_sample_batch(encoded[-1:], rng)
+        assert [hex_steps(t) for chunk in chunks for t in chunk] == [hex_steps(t) for t in want]
+        steps = [s for t in want for s in t.steps]
+        assert parts["copy_rate"] == sum(s.action == OP_COPY for s in steps) / len(steps)
+
+    def test_empty_inputs(self):
+        encoder, decoder = TestLockstep.model({})
+        tree = parse_sql("SELECT col FROM t")
+        assert decoder.decode_sample_batch([], np.random.default_rng(0)) == []
+        forest = encoder.encode_forest([tree])
+        for call in (lambda: decoder.score_trajectory(forest, []),
+                     lambda: decoder.teacher_forced(forest, [])):
+            with pytest.raises(ValueError, match="empty batch"):
+                call()

@@ -537,22 +537,36 @@ class TestBatchedObjective:
         for name, p in store.items():
             assert_close(batch_grads[name], p.grad, rtol=1e-10)
 
-        # the mixed objective: one rng samples every example in turn
+        # the mixed objective: the batch is sampled in lockstep, one rollout
+        # per chunk; scoring each example alone with its own sample from the
+        # batch gives the batch's per-example values and gradients
         cfg = TrainConfig(total_steps=10, hidden_size=6)
-        sampled, sample = [], decoder.decode_sample
-        decoder.decode_sample = lambda *args, **kw: sampled.append(sample(*args, **kw)) \
-            or sampled[-1]
+        sampled, chunks = [], []
+        sample_batch, rollout = decoder.decode_sample_batch, decoder._rollout
+
+        def sample_chunk(*args, **kw):
+            sampled.extend(sample_batch(*args, **kw))
+            return sampled[-len(args[0]):]
+
+        def rollout_chunk(encoded, *args, **kw):
+            chunks.append(len(encoded))
+            return rollout(encoded, *args, **kw)
+
+        decoder.decode_sample_batch, decoder._rollout = sample_chunk, rollout_chunk
         store.zero_grads()
         loss, parts = mixed_loss(batch, encoder, decoder, 4, cfg,
                                  np.random.default_rng(5), Baseline(value=0.1))
         loss.backward()
+        assert chunks == [len(batch)] and len(sampled) == len(batch)
         assert any(len(t.steps) == 3 and (t.steps[-1].action, t.steps[-1].choice) != (OP_GEN, EOS)
                    for t in sampled)
         batch_grads = self.grads(store)
         store.zero_grads()
-        rng = np.random.default_rng(5)
-        ones = [mixed_loss(ex, encoder, decoder, 4, cfg, rng, Baseline(value=0.1))
-                for ex in batch]
+        ones = []
+        for ex, traj in zip(batch, sampled):
+            decoder.decode_sample_batch = lambda *args, traj=traj, **kw: [traj]
+            ones.append(mixed_loss(ex, encoder, decoder, 4, cfg, np.random.default_rng(5),
+                                   Baseline(value=0.1)))
         ad.mul(self.total([loss for loss, _ in ones]), 1.0 / len(batch)).backward()
         # the same samples, so the same rewards
         assert parts["reward"] == [p["reward"][0] for _, p in ones]
@@ -561,9 +575,22 @@ class TestBatchedObjective:
         assert_close(np.array(parts["loss_hrl"]), np.array([p["loss_hrl"][0] for _, p in ones]))
         assert (parts["units"], parts["guards"]) == \
             (sum(p["units"] for _, p in ones), sum(p["guards"] for _, p in ones))
+        steps = [s for traj in sampled for s in traj.steps]
+        assert parts["copy_rate"] == sum(s.action == OP_COPY for s in steps) / len(steps)
         for name, p in store.items():
             assert_close(batch_grads[name], p.grad, rtol=1e-10)
 
+
+    def test_empty_batch_is_refused(self):
+        _, encoder, decoder = make_model(seed=92)
+        cfg = TrainConfig(total_steps=10, hidden_size=6)
+        for call in (lambda: mle_loss([], encoder, decoder),
+                     lambda: mixed_loss([], encoder, decoder, 4, cfg, np.random.default_rng(0),
+                                        Baseline()),
+                     lambda: mixed_loss([], encoder, decoder, 10, cfg, np.random.default_rng(0),
+                                        Baseline())):
+            with pytest.raises(ValueError, match="empty batch"):
+                call()
 
 class TestConfig:
     def test_roundtrip(self):
