@@ -18,7 +18,7 @@ store = ParamStore(seed=0)
 encoder = TreeEncoder(store, grammar, vocab, EncoderConfig(hidden_size=16))
 
 tree = parse_sql("SELECT MAX(Capacity) FROM table WHERE Stadium = 'x'")
-out = encoder.encode(tree)  # encode_batch([tree])[0]: one op for the whole tree
+out = encoder.encode(tree)  # encode_forest([tree]).output(0): one op for the whole tree
 print("hidden states (nodes x hidden):", out.hidden.shape)
 print("root hidden (first 5):", np.round(out.root_hidden.data[:5], 4))
 print("all components strictly inside (-1, 1):", bool(np.all(np.abs(out.hidden.data) < 1)))

@@ -22,17 +22,15 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, checks, metrics
 from .corpus import (Example, Vocab, build_vocab, generate_synthetic, lint_examples,
                      load_corpus_jsonl, save_corpus_jsonl, save_trees_jsonl,
-                     source_token_stream, tokenize_comment)
+                     source_token_stream)
 from .params import load_checkpoint, save_checkpoint
 from .parsers import parse_lambda, parse_sql
 from .trees import get_grammar, tree_stats
 from .training import (TrainConfig, build_model, config_from_text, config_to_text,
-                       config_value, encoded_chunks, greedy_candidates, train)
+                       config_value, encoded_chunks, train)
 
 MANIFEST_VERSION = 1
 
@@ -306,10 +304,9 @@ def cmd_generate(args) -> int:
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
         start = 0
-        for chunk in encoded_chunks(examples, encoder):
+        for chunk, forest in encoded_chunks(examples, encoder):
             traces = [[] for _ in chunk] if trace_fh else None
-            outputs = decoder.decode_greedy_batch([(enc, ex.tree) for ex, enc in chunk],
-                                                  max_len=args.max_len, traces=traces)
+            outputs = decoder.decode_greedy_batch(forest, max_len=args.max_len, traces=traces)
             print("\n".join(" ".join(tokens) for tokens in outputs))
             for i, trace in enumerate(traces or (), start=start):
                 for entry in trace:

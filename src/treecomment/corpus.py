@@ -353,7 +353,9 @@ def save_corpus_jsonl(pairs: Iterable[tuple[str, str]], path, lang: str) -> None
 
 def load_corpus_jsonl(path) -> list[Example]:
     """Read one example per line: either raw code plus language, or a
-    pre-parsed tree document of any grammar."""
+    pre-parsed tree document of any grammar. A line that is not a JSON
+    object, or whose ``comment``, ``code`` or ``lang`` is not a string,
+    raises ``ValueError`` naming the line and the field."""
     out: list[Example] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -361,8 +363,14 @@ def load_corpus_jsonl(path) -> list[Example]:
             if not line:
                 continue
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line[:40]}")
             if "comment" not in obj:
                 raise ValueError(f"{path}:{lineno}: missing 'comment'")
+            for key in ("comment", "code", "lang"):
+                if key in obj and not isinstance(obj[key], str):
+                    raise ValueError(f"{path}:{lineno}: {key!r} must be a string, "
+                                     f"got {json.dumps(obj[key])[:40]}")
             comment = tuple(tokenize_comment(obj["comment"]))
             if "tree" in obj:
                 tree_doc = obj["tree"]

@@ -12,36 +12,34 @@ the last emitted token feeds the next recurrence step. When no node is
 copyable at all, the operation is forced to "generate" with probability one.
 
 The decoder has one state shape: a (rows, d) matrix, one row per tree
-being decoded or per teacher-forced position. Attention and the three heads
-are written once (``heads``) for such a matrix. Attention and copy scoring
-read node states in one form with two layouts (``autodiff.block_matmul``):
-one node matrix for every row, or a stack of node blocks, one per equal run
-of rows. Decoding chooses each step's input from the last step's output, so
-it runs ``step`` in one unrecorded loop, ``_rollout``, for greedy and
-sampled decoding. The loop decodes a chunk of trees in lockstep: one LSTM
-cell over the states of the trees still decoding and the heads once over
-those rows, which share the chunk's concatenated node matrix, one block;
-per-row masks keep each row to its own tree's nodes, and each row has its
-own decay row and choices. A row stops at EOS or after ``max_len`` steps.
-A chooser picks every live row's operation and word or node from a step's
-outputs: greedy decoding takes each row's argmax in turn, and sampling
-draws Gumbel-Max noise from one generator, one matrix per stage over the
-rows that reach it, in this order: the operations of the rows where
-copying is feasible, then the words of the rows that generate, then the
-nodes of the rows that copy, over the chunk's columns (masked zeros become
--inf and never win). A chunk of one tree therefore draws what a lone tree
-always drew. ``decode_greedy`` and ``decode_sample`` are chunks of one
-tree, which owns every node and so attends without a mask. Wherever every
-input is known up front, ``teacher_forced`` scores many sequences
-(``KnownSequence``: a likelihood target or a sampled trajectory) in one
-traced pass: one LSTM op runs them side by side, padded to the longest, and
-the heads run once over all their rows, each sequence attending over its
-own node block, padded to the widest tree.
+being decoded or per teacher-forced position, and one node layout
+(``_blocks``): the node states of the trees it reads off a ``Forest``, one
+block per tree, padded to the widest tree, with tree-local columns.
+Attention and the three heads are written once (``heads``) for them; a
+block serves an equal run of rows (``autodiff.block_matmul``), and a mask
+hides its padding. Decoding chooses each step's input from the last step's
+output, so it runs ``step`` in one unrecorded loop, ``_rollout``, for
+greedy and sampled decoding. The loop decodes a forest's trees in
+lockstep: one LSTM cell over the states of the trees still decoding and
+the heads once over those rows, each with its own block, decay row and
+choices. A row stops at EOS or after ``max_len`` steps. A chooser picks
+every live row's operation and word or node from a step's outputs: greedy
+decoding takes each row's argmax in turn, and sampling draws Gumbel-Max
+noise from one generator, one matrix per stage over the rows that reach
+it, in this order: the operations of the rows where copying is feasible,
+then the words of the rows that generate, then the nodes of the rows that
+copy, over the widest tree's columns (masked zeros become -inf and never
+win). ``decode_greedy`` and ``decode_sample`` decode a one-tree forest,
+whose block is unpadded: it attends without a mask and draws what a lone
+tree always drew. Wherever every input is known up front,
+``teacher_forced`` scores many sequences (``KnownSequence``: a likelihood
+target or a sampled trajectory) in one traced pass: one LSTM op runs them
+side by side, padded to the longest, and the heads run once over all their
+rows, each sequence's steps over its tree's block.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -75,9 +73,9 @@ class DecoderConfig:
 
 @dataclass
 class DecoderState:
-    """The state of a chunk of trees decoded in lockstep: every field has
-    one row per tree, and ``decay`` spans the columns of the chunk's node
-    matrix."""
+    """The state of trees decoded in lockstep: every field has one row per
+    tree, and ``decay`` row i is over tree i's nodes, in its own columns,
+    padded to the widest tree."""
     hidden: Tensor               # (rows, d)
     cell: Tensor                 # (rows, d)
     decay: np.ndarray            # (rows, nodes), each value in [0, 1]
@@ -231,38 +229,48 @@ class TreeDecoder:
         return (DecoderState(hidden=hidden, cell=cell, decay=state.decay),
                 self.heads(hidden, nodes, keep, state.decay, own))
 
-    def teacher_forced(self, forest: Forest, sequences: Sequence[KnownSequence]) -> StepOutput:
-        """Every step of many known sequences in one pass: step t of sequence
-        g is row ``g * T + t`` of each output (listed in ``steps``), T the
-        longest sequence's length, and node columns are tree-local ids,
-        padded to the widest tree. Padding is computed but must not be read.
-        Each row equals what ``step`` returns from the same inputs up to
-        summation order."""
-        if not sequences:
-            raise ValueError("teacher_forced: empty batch, no sequences to score")
-        trees = [forest.trees[s.tree] for s in sequences]
-        lengths = np.array([len(s.prev_ids) for s in sequences])
-        sizes = np.array([len(tree) for tree in trees])
-        base = np.array([forest.offsets[s.tree] for s in sequences])
-        count, width, columns = len(sequences), lengths.max(), np.arange(sizes.max())
+    def _blocks(self, forest: Forest, trees: Sequence[int]
+                ) -> tuple[Tensor, Tensor, np.ndarray | None, np.ndarray]:
+        """The node states of trees ``trees`` of ``forest`` as a stack of
+        blocks, one per entry, padded to the widest tree and with tree-local
+        columns; their root states, one row each; and per block the columns
+        it owns (None when no block is padded) and those it may copy."""
+        picked = [forest.trees[t] for t in trees]
+        sizes = np.array([len(tree) for tree in picked])
+        base = np.array([forest.offsets[t] for t in trees])
+        columns = np.arange(sizes.max())
         own = columns < sizes[:, None]
         # a padded column reads its block's first node, which no row attends to
         nodes = ad.rows(forest.states, base[:, None] + np.where(own, columns, 0))
-        roots = ad.rows(forest.states, base + [tree.root for tree in trees])
+        roots = ad.rows(forest.states, base + [tree.root for tree in picked])
+        keep = np.zeros(own.shape, dtype=bool)
+        for g, tree in enumerate(picked):
+            keep[g, :len(tree)] = self.copy_keep_mask(tree)
+        return nodes, roots, None if own.all() else own, keep
+
+    def teacher_forced(self, forest: Forest, sequences: Sequence[KnownSequence]) -> StepOutput:
+        """Every step of many known sequences in one pass: step t of sequence
+        g is row ``g * T + t`` of each output (listed in ``steps``), T the
+        longest sequence's length, over node blocks as ``_blocks`` gives
+        them. Padding is computed but must not be read. Each row equals
+        what ``step`` returns from the same inputs up to summation order."""
+        if not sequences:
+            raise ValueError("teacher_forced: empty batch, no sequences to score")
+        nodes, roots, own, keep = self._blocks(forest, [s.tree for s in sequences])
+        lengths = np.array([len(s.prev_ids) for s in sequences])
+        count, width = len(sequences), lengths.max()
         fed = np.full((width, count), PAD)
-        keep = np.zeros((count, width, len(columns)), dtype=bool)
-        decay = np.zeros(keep.shape)
-        for g, (s, tree) in enumerate(zip(sequences, trees)):
+        decay = np.zeros((count, width, keep.shape[1]))
+        for g, s in enumerate(sequences):
             fed[:lengths[g], g] = s.prev_ids
-            keep[g, :, :len(tree)] = self.copy_keep_mask(tree)
-            decay[g, :lengths[g], :len(tree)] = s.decay
+            decay[g, :lengths[g], :len(forest.trees[s.tree])] = s.decay
         states = ad.lstm(ad.rows(self.embed, fed.ravel()), roots,
                          Tensor(np.zeros((count, self.config.hidden_size))), self.lstm_weights)
         # the LSTM's rows run step by step; the heads' sequence by sequence
         hidden = ad.rows(states, (np.arange(width) * count + np.arange(count)[:, None]).ravel())
-        out = self.heads(hidden, nodes, keep.reshape(-1, len(columns)),
-                         decay.reshape(-1, len(columns)),
-                         None if own.all() else np.repeat(own, width, axis=0))
+        out = self.heads(hidden, nodes, np.repeat(keep, width, axis=0),
+                         decay.reshape(-1, keep.shape[1]),
+                         None if own is None else np.repeat(own, width, axis=0))
         out.steps = np.flatnonzero(np.arange(width) < lengths[:, None])
         return out
 
@@ -332,74 +340,59 @@ class TreeDecoder:
     def _prev_id(self, token: str | None) -> int:
         return BOS if token is None else self.vocab.id_of(token)
 
-    def _rollout(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
-                 choose: Chooser, max_len: int | None,
+    def _rollout(self, forest: Forest, choose: Chooser, max_len: int | None,
                  traces: Sequence[list] | None = None) -> list[Trajectory]:
-        """Decode every (encoder output, tree) pair in lockstep, recording no
-        op. Row i of each step is tree i's: it attends over and copies from
-        its own block of the chunk's concatenated node matrix, and keeps its
-        own decay row. ``choose`` picks each live row's operation (where
+        """Decode every tree of ``forest`` in lockstep, recording no op. Row
+        i of each step is tree i's: it attends over and copies from its own
+        node block (``_blocks``) and keeps its own decay row, both in the
+        tree's columns. ``choose`` picks each live row's operation (where
         copying is feasible; else generate, with log-probability 0), then
-        its node column or word. A row stops at EOS or after ``max_len``
-        steps and leaves the live rows. ``traces``, when given, collects one
-        entry per step and tree.
+        its node or word. A row stops at EOS or after ``max_len`` steps and
+        leaves the live rows. ``traces``, when given, collects one entry per
+        step and tree.
         """
         max_len = self._max_len(max_len)
-        if not encoded:
+        trees = forest.trees
+        if not trees:
             return []
-        trees = [tree for _, tree in encoded]
-        offsets = [0, *itertools.accumulate(len(tree) for tree in trees)]
-        own = np.zeros((len(trees), offsets[-1]), dtype=bool)
-        keep = np.zeros_like(own)
-        for i, tree in enumerate(trees):
-            own[i, offsets[i]:offsets[i + 1]] = True
-            keep[i, offsets[i]:offsets[i + 1]] = self.copy_keep_mask(tree)
-        if len(trees) == 1:
-            own = None  # a lone tree owns every column: attention needs no mask
         results = [Trajectory(steps=[], tokens=[]) for _ in trees]
         live = list(range(len(trees)))  # the tree of each state row
         prev = [BOS] * len(trees)
         with ad.no_grad():
-            node_matrix = Tensor(np.vstack([enc.hidden.data for enc, _ in encoded]))
-            state = DecoderState(
-                hidden=Tensor(np.stack([enc.root_hidden.data for enc, _ in encoded])),
-                cell=Tensor(np.zeros((len(trees), self.config.hidden_size))),
-                decay=np.zeros(keep.shape))
+            nodes, roots, own, keep = self._blocks(forest, live)
+            state = DecoderState(hidden=roots, cell=Tensor(np.zeros(roots.shape)),
+                                 decay=np.zeros(keep.shape))
             for t in range(1, max_len + 1):
-                state, out = self.step(state, node_matrix, keep, prev, own)
+                state, out = self.step(state, nodes, keep, prev, own)
                 feasible = np.zeros(len(live), dtype=bool) if out.copy_probs is None \
                     else out.copy_probs.data.any(axis=1)
                 going, prev, copied_rows, copied_nodes = [], [], [], []
-                for r, (i, (op, column, logp_op, logp_word)) in enumerate(
+                for r, (i, (op, choice, logp_op, logp_word)) in enumerate(
                         zip(live, choose(out, feasible))):
                     if op == OP_COPY:
-                        choice = column - offsets[i]
                         emitted = node_surface(trees[i].node(choice).tokens)
                     else:
-                        choice = column
                         emitted = () if choice == EOS else (self.vocab.token_of(choice),)
                     rec = TrajectoryStep(action=op, choice=choice, tokens=emitted,
                                          logp_op=logp_op, logp_word=logp_word)
                     results[i].steps.append(rec)
                     if traces is not None:
-                        block = slice(offsets[i], offsets[i + 1])
-                        traces[i].append(_trace_entry(
-                            t, out.attn_weights.data[r, block],
-                            None if out.op_probs is None else out.op_probs.data[r],
-                            rec, state.decay[r, block]))
+                        traces[i].append(_trace_entry(t, out, r, rec,
+                                                      state.decay[r, :len(trees[i])]))
                     if op == OP_GEN and choice == EOS:
                         continue
                     results[i].tokens.extend(emitted)
                     prev.append(self._prev_id(emitted[-1]))
                     if op == OP_COPY:
                         copied_rows.append(len(going))
-                        copied_nodes.append(column)
+                        copied_nodes.append(choice)
                     going.append(r)
                 if not going:
                     break
                 if len(going) < len(live):
                     live = [live[r] for r in going]
-                    keep, own = keep[going], own[going]
+                    nodes, keep = Tensor(nodes.data[going]), keep[going]
+                    own = None if own is None else own[going]
                     state.hidden = Tensor(state.hidden.data[going])
                     state.cell = Tensor(state.cell.data[going])
                     state.decay = state.decay[going]
@@ -409,17 +402,16 @@ class TreeDecoder:
     def decode_greedy(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       max_len: int | None = None, trace: list | None = None) -> list[str]:
         """Argmax at both stages; stops at EOS or after ``max_len`` steps."""
-        return self.decode_greedy_batch([(encoder_output, tree)], max_len,
+        return self.decode_greedy_batch(_lone_forest(encoder_output, tree), max_len,
                                         None if trace is None else [trace])[0]
 
-    def decode_greedy_batch(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
-                            max_len: int | None = None,
+    def decode_greedy_batch(self, forest: Forest, max_len: int | None = None,
                             traces: Sequence[list] | None = None) -> list[list[str]]:
-        """``decode_greedy`` of every (encoder output, tree) pair, decoded in
-        lockstep; ``traces``, when given, holds one list per pair. Each
-        output is the single-tree output up to summation order: a near-tie
-        in an argmax may break the other way."""
-        return [t.tokens for t in self._rollout(encoded, _greedy, max_len, traces)]
+        """``decode_greedy`` of every tree of ``forest``, decoded in lockstep;
+        ``traces``, when given, holds one list per tree. Each output is the
+        single-tree output up to summation order: a near-tie in an argmax
+        may break the other way."""
+        return [t.tokens for t in self._rollout(forest, _greedy, max_len, traces)]
 
     def decode_sample(self, encoder_output: EncoderOutput, tree: TokenTypeTree,
                       rng: np.random.Generator, max_len: int | None = None) -> Trajectory:
@@ -430,17 +422,21 @@ class TreeDecoder:
         word as floats; their sum is the log of the trajectory's joint
         probability. ``score_trajectory`` gives them traced.
         """
-        return self.decode_sample_batch([(encoder_output, tree)], rng, max_len)[0]
+        return self.decode_sample_batch(_lone_forest(encoder_output, tree), rng, max_len)[0]
 
-    def decode_sample_batch(self, encoded: Sequence[tuple[EncoderOutput, TokenTypeTree]],
-                            rng: np.random.Generator,
+    def decode_sample_batch(self, forest: Forest, rng: np.random.Generator,
                             max_len: int | None = None) -> list[Trajectory]:
-        """``decode_sample`` of every (encoder output, tree) pair, sampled in
-        lockstep from the one generator ``rng``: at each step one Gumbel
-        matrix per stage over the rows that reach it (see the module
-        docstring). A pair alone draws exactly what ``decode_sample`` draws;
-        in a larger chunk, each row's draws depend on the other rows'."""
-        return self._rollout(encoded, _sampler(rng), max_len)
+        """``decode_sample`` of every tree of ``forest``, sampled in lockstep
+        from the one generator ``rng``: at each step one Gumbel matrix per
+        stage over the rows that reach it (see the module docstring). A
+        tree alone draws exactly what ``decode_sample`` draws; among others,
+        each row's draws depend on the other rows'."""
+        return self._rollout(forest, _sampler(rng), max_len)
+
+
+def _lone_forest(out: EncoderOutput, tree: TokenTypeTree) -> Forest:
+    """The one-tree forest of ``tree``'s encoder output ``out``."""
+    return Forest([tree], Tensor(np.vstack([out.hidden.data, out.cell.data])), [0, len(tree)])
 
 
 # a step's choices: from its outputs and the rows where copying is feasible,
@@ -466,7 +462,8 @@ def _greedy(out: StepOutput, feasible: np.ndarray) -> list[tuple[int, int, float
 def _sampler(rng: np.random.Generator) -> Chooser:
     """The Gumbel-Max chooser: one draw per stage over the rows that reach
     it, the operations of the rows where copying is feasible first, then
-    the words of the generating rows, then the nodes of the copying rows."""
+    the words of the generating rows, then the nodes of the copying rows,
+    over every column of the node blocks (the widest tree's)."""
     def choose(out: StepOutput, feasible: np.ndarray) -> Iterable[tuple[int, int, float, float]]:
         rows = np.arange(len(feasible))
         op = np.full(len(rows), OP_GEN)
@@ -496,14 +493,14 @@ def _gumbel_pick(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.argmax(logits + rng.gumbel(size=probs.shape), axis=-1)
 
 
-def _trace_entry(step: int, attention: np.ndarray, op_probs: np.ndarray | None,
-                 rec: TrajectoryStep, decay: np.ndarray) -> dict:
-    """One tree's step, over its own nodes."""
+def _trace_entry(step: int, out: StepOutput, row: int, rec: TrajectoryStep,
+                 decay: np.ndarray) -> dict:
+    """Row ``row``'s step, over its tree's nodes: the columns of ``decay``."""
     copied = rec.action == OP_COPY
     return {
         "step": step,
-        "attention": [round(float(a), 6) for a in attention],
-        "op_probs": None if op_probs is None else [float(p) for p in op_probs],
+        "attention": [round(float(a), 6) for a in out.attn_weights.data[row, :len(decay)]],
+        "op_probs": None if out.op_probs is None else [float(p) for p in out.op_probs.data[row]],
         "action": "copy" if copied else "generate",
         "node": rec.choice if copied else None,
         "word": None if copied else rec.choice,

@@ -18,8 +18,9 @@ type). Codes name the tensor a lookup resolves to, so an untyped tree and a
 type-changed variant get the same plan and run identical ops. A code
 resolves through a table on the encoder, so the store sees each tensor
 once per encoder, and parameters keep their per-gate names. The decoder's
-teacher-forced pass reads a batch's node and root states off the forest in
-one op each; ``encode_batch`` gives each tree's states as views of its rows.
+teacher-forced pass and its lockstep decoding read a batch's node and root
+states off the forest in one op each; ``Forest.output`` gives one tree's
+states as views of its rows.
 """
 
 from __future__ import annotations
@@ -117,13 +118,7 @@ class TreeEncoder:
                                  f"grammar arity {grammar.max_arity}")
 
     def encode(self, tree: TokenTypeTree) -> EncoderOutput:
-        return self.encode_batch([tree])[0]
-
-    def encode_batch(self, trees: Sequence[TokenTypeTree]) -> list[EncoderOutput]:
-        """Encode every tree of ``trees`` with one traced ``tree_lstm`` op;
-        each output reads its tree's rows of the forest as views."""
-        forest = self.encode_forest(trees)
-        return [forest.output(t) for t in range(len(forest.trees))]
+        return self.encode_forest([tree]).output(0)
 
     def encode_forest(self, trees: Sequence[TokenTypeTree]) -> Forest:
         """Every tree of ``trees`` encoded by one traced ``tree_lstm`` op,
@@ -210,11 +205,13 @@ def encoder_gradient_check(encoder: TreeEncoder, trees: Sequence[TokenTypeTree],
     together; every encoder tensor the batch uses is checked, so a weight
     two trees share sums its gradient across them.
     """
-    encoder.encode_batch(trees)  # materialize every parameter the batch touches
+    encoder.encode_forest(trees)  # materialize every parameter the batch touches
     subset = {name: t for name, t in encoder.store.items() if name.startswith("enc.")}
 
     def loss():
-        return ad.sumall(ad.concat([out.root_hidden for out in encoder.encode_batch(trees)]))
+        forest = encoder.encode_forest(trees)
+        return ad.sumall(ad.rows(forest.states, [base + tree.root for tree, base
+                                                 in zip(forest.trees, forest.offsets)]))
 
     return finite_difference_check(loss, subset, epsilon=epsilon, order=order,
                                    max_coords_per_param=4, rng=rng)

@@ -8,9 +8,9 @@ full surface matches the aligned span (a matched multi-token span is consumed
 by one step). The policy-gradient surrogate is plain REINFORCE over sampled
 trajectories with per-step reward-to-go and an exponential-moving-average
 baseline. A step encodes its batch with one encoder op, samples its
-examples in lockstep (without recording, ``EVAL_BATCH`` rows at a time)
-where it weighs the surrogate, and then scores every likelihood target and
-every sample, each a known sequence of fed tokens and decay rows, in one
+examples in one lockstep rollout (without recording) where it weighs the
+surrogate, and then scores every likelihood target and every sample, each
+a known sequence of fed tokens and decay rows, in one
 ``TreeDecoder.teacher_forced`` pass with one backward. Each example's loss
 sums its own rows, so the log keeps per-example means. One example is a
 batch of one.
@@ -33,7 +33,7 @@ from .corpus import (BOS, EOS, Example, Vocab, batch_iter, build_vocab, finishin
                      follows, lint_examples, node_surface, source_token_stream, unit_spans)
 from .decoder import (OP_COPY, OP_GEN, DecoderConfig, KnownSequence, StepOutput, Trajectory,
                       TreeDecoder)
-from .encoder import EncoderConfig, EncoderOutput, Forest, TreeEncoder
+from .encoder import EncoderConfig, Forest, TreeEncoder
 from .params import AdamState, ParamStore, adam_step, clip_global_norm
 from .trees import TokenTypeTree, get_grammar
 
@@ -302,9 +302,9 @@ def _objective(examples: Example | Sequence[Example], encoder: TreeEncoder,
     """The sum over ``examples`` (example i's tree is tree i of ``forest``,
     made here when None) of mu times the likelihood loss plus 1 - mu times
     the REINFORCE surrogate, with ``parts`` as ``mixed_loss`` reports them.
-    Where mu < 1, the examples are first sampled from ``rng`` in lockstep,
-    one ``TreeDecoder.decode_sample_batch`` chunk of ``EVAL_BATCH`` at a
-    time; a lone example draws what ``decode_sample`` draws."""
+    Where mu < 1, the examples are first sampled from ``rng`` in one
+    lockstep rollout (``TreeDecoder.decode_sample_batch``); a lone example
+    draws what ``decode_sample`` draws."""
     examples = [examples] if isinstance(examples, Example) else examples
     if not examples:
         raise ValueError("empty batch: no examples to score")
@@ -314,10 +314,7 @@ def _objective(examples: Example | Sequence[Example], encoder: TreeEncoder,
                    "units": None, "guards": None, "copy_rate": None}
     sequences, units, trajectories = [], [], []
     if mu < 1.0:
-        with ad.no_grad():
-            encoded = [(forest.output(i), ex.tree) for i, ex in enumerate(examples)]
-        for start in range(0, len(encoded), EVAL_BATCH):
-            trajectories += decoder.decode_sample_batch(encoded[start:start + EVAL_BATCH], rng)
+        trajectories = decoder.decode_sample_batch(forest, rng)
     if mu > 0.0:
         for i, ex in enumerate(examples):
             units.append(segment_target(ex.comment, ex.tree, decoder))
@@ -463,21 +460,21 @@ def mixed_loss(examples: Example | Sequence[Example], encoder: TreeEncoder,
 # --- evaluation helpers ---------------------------------------------------------
 
 def encoded_chunks(examples: Sequence[Example], encoder: TreeEncoder
-                   ) -> Iterator[list[tuple[Example, EncoderOutput]]]:
-    """The examples in chunks of ``EVAL_BATCH``, each example with its
-    encoding, made without recording, one encoder op per chunk."""
+                   ) -> Iterator[tuple[Sequence[Example], Forest]]:
+    """The examples in chunks of ``EVAL_BATCH``, each chunk with the forest
+    of its trees, made without recording, one encoder op per chunk."""
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
         with ad.no_grad():
-            encoded = encoder.encode_batch([ex.tree for ex in chunk])
-        yield list(zip(chunk, encoded))
+            forest = encoder.encode_forest([ex.tree for ex in chunk])
+        yield chunk, forest
 
 
 def greedy_candidates(examples: Sequence[Example], encoder: TreeEncoder,
                       decoder: TreeDecoder) -> list[list[str]]:
     """Greedy output per example, each chunk decoded in lockstep."""
-    return [tokens for chunk in encoded_chunks(examples, encoder)
-            for tokens in decoder.decode_greedy_batch([(enc, ex.tree) for ex, enc in chunk])]
+    return [tokens for _, forest in encoded_chunks(examples, encoder)
+            for tokens in decoder.decode_greedy_batch(forest)]
 
 
 def token_accuracy(examples: Sequence[Example], candidates: Sequence[Sequence[str]]) -> float:

@@ -181,6 +181,15 @@ class TestStats:
         assert fields[6] == "3"          # max children
 
 
+    def test_malformed_line_exits_two_naming_it(self, tmp_path, capsys):
+        fixture = tmp_path / "bad.jsonl"
+        fixture.write_text('{"comment": 5, "code": "SELECT a FROM t", "lang": "sql"}\n')
+        code, _, err = run(["stats", str(fixture)], capsys)
+        assert code == 2
+        assert "bad.jsonl:1: 'comment' must be a string" in err
+        assert "Traceback" not in err
+
+
 class TestTrainGenerateEvaluate:
     def test_pipeline_and_determinism(self, tmp_path, corpus_path, capsys):
         run_a = tmp_path / "run_a"

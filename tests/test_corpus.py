@@ -214,6 +214,22 @@ class TestCorpusFiles:
         with pytest.raises(ValueError, match="lang"):
             load_corpus_jsonl(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("5", "expected a JSON object"),
+        ("null", "expected a JSON object"),
+        ('["comment", "code"]', "expected a JSON object"),
+        ('{"comment": 5, "code": "SELECT a FROM t", "lang": "sql"}', "'comment' must be a string"),
+        ('{"comment": "x", "code": 7, "lang": "sql"}', "'code' must be a string"),
+        ('{"comment": "x", "code": "SELECT a FROM t", "lang": ["sql"]}',
+         "'lang' must be a string"),
+    ], ids=["number", "null", "array", "comment", "code", "lang"])
+    def test_malformed_line_names_line_and_field(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"code": "SELECT a FROM t", "lang": "sql", "comment": "x"}\n'
+                        + line + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl:2: {message}"):
+            load_corpus_jsonl(path)
+
     def test_source_stream_lowercases(self):
         tree = parse_sql("SELECT Col FROM t WHERE K = 'Va Lue'")
         stream = source_token_stream(tree)

@@ -657,8 +657,8 @@ class TestBatchedPass:
 
 
 class TestLockstep:
-    """``decode_greedy_batch`` decodes a chunk of trees in lockstep over one
-    node matrix; each row must decode as its tree does alone."""
+    """``decode_greedy_batch`` decodes a forest's trees in lockstep, each
+    over its own node block; each row must decode as its tree does alone."""
 
     FLAGS = [{}, {"generate_only": True}, {"use_mask": False}, {"use_decay": False},
              {"untyped": True}]
@@ -683,13 +683,14 @@ class TestLockstep:
     def test_chunk_equals_single_trees(self, flags):
         encoder, decoder = self.model(flags)
         trees = self.chunk(np.random.default_rng(0))
-        encoded = list(zip(encoder.encode_batch(trees), trees))
+        forest = encoder.encode_forest(trees)
         traces = [[] for _ in trees]
-        outputs = decoder.decode_greedy_batch(encoded, max_len=8, traces=traces)
+        outputs = decoder.decode_greedy_batch(forest, max_len=8, traces=traces)
         ends = set()
-        for (enc, tree), tokens, trace in zip(encoded, outputs, traces):
+        for t, (tree, tokens, trace) in enumerate(zip(trees, outputs, traces)):
             alone = []
-            assert tokens == decoder.decode_greedy(enc, tree, max_len=8, trace=alone)
+            assert tokens == decoder.decode_greedy(forest.output(t), tree, max_len=8,
+                                                   trace=alone)
             assert len(trace) == len(alone)
             for got, want in zip(trace, alone):
                 assert {k: got[k] for k in ("step", "action", "node", "word", "emitted")} \
@@ -730,10 +731,10 @@ class TestLockstep:
 
     def test_empty_chunk_and_max_len(self):
         encoder, decoder = self.model({})
-        assert decoder.decode_greedy_batch([]) == []
+        assert decoder.decode_greedy_batch(encoder.encode_forest([])) == []
         tree = parse_sql("SELECT col FROM t")
         with pytest.raises(ValueError, match="max_len"):
-            decoder.decode_greedy_batch([(encoder.encode(tree), tree)], max_len=0)
+            decoder.decode_greedy_batch(encoder.encode_forest([tree]), max_len=0)
 
 
 def reference_sample(decoder, enc, tree, rng, max_len):
@@ -774,10 +775,10 @@ def hex_steps(trajectory):
 
 
 class TestLockstepSampling:
-    """``decode_sample_batch`` samples a chunk of trees in lockstep from one
+    """``decode_sample_batch`` samples a forest's trees in lockstep from one
     generator, one Gumbel draw per stage over the rows that reach it. A
-    chunk of one tree draws exactly what a lone tree always drew; in a
-    larger chunk each row is still a draw from its own tree's
+    forest of one tree draws exactly what a lone tree always drew; in a
+    larger forest each row is still a draw from its own tree's
     distributions, and records what ``score_trajectory`` scores."""
 
     @staticmethod
@@ -794,7 +795,8 @@ class TestLockstepSampling:
         for k, tree in enumerate(trees):
             enc = encoder.encode(tree)
             max_len = k % 6 + 1
-            batch = decoder.decode_sample_batch([(enc, tree)], np.random.default_rng(k), max_len)
+            batch = decoder.decode_sample_batch(encoder.encode_forest([tree]),
+                                                np.random.default_rng(k), max_len)
             alone = decoder.decode_sample(enc, tree, np.random.default_rng(k), max_len)
             assert len(batch) == 1 and hex_steps(batch[0]) == hex_steps(alone)
             assert batch[0].tokens == alone.tokens
@@ -807,12 +809,11 @@ class TestLockstepSampling:
     def test_chunk_records_what_score_trajectory_scores(self, flags):
         encoder, decoder = TestLockstep.model(flags)
         trees = self.chunk()
-        encoded = list(zip(encoder.encode_batch(trees), trees))
         forest = encoder.encode_forest(trees)
         rng = np.random.default_rng(60)
         seen = {"staggered": 0, "truncated": 0, "copies": 0}
         for _ in range(12):
-            trajectories = decoder.decode_sample_batch(encoded, rng, max_len=5)
+            trajectories = decoder.decode_sample_batch(forest, rng, max_len=5)
             lo, lw = decoder.score_trajectory(forest, trajectories)
             steps = [s for t in trajectories for s in t.steps]
             assert len(lo.data) == len(steps)
@@ -834,10 +835,10 @@ class TestLockstepSampling:
     def test_draws_one_matrix_per_stage(self, flags):
         # per step: the operations of the rows that may copy, then the words
         # of the generating rows, then the nodes of the copying rows over
-        # every column of the chunk
+        # the widest tree's columns
         encoder, decoder = TestLockstep.model(flags)
         trees = self.chunk()
-        encoded = list(zip(encoder.encode_batch(trees), trees))
+        forest = encoder.encode_forest(trees)
         shapes, rng = [], np.random.default_rng(64)
 
         class Recording:
@@ -848,7 +849,7 @@ class TestLockstepSampling:
         mixed = 0  # steps where some rows generate and others copy
         for _ in range(10):
             shapes.clear()
-            trajectories = decoder.decode_sample_batch(encoded, Recording(), max_len=5)
+            trajectories = decoder.decode_sample_batch(forest, Recording(), max_len=5)
             want = []
             for t in range(5):
                 steps = [traj.steps[t] for traj in trajectories if len(traj.steps) > t]
@@ -856,7 +857,7 @@ class TestLockstepSampling:
                 gen = sum(s.action == OP_GEN for s in steps)
                 want += [(chose, 2)] if chose else []
                 want += [(gen, len(decoder.vocab))] if gen else []
-                want += [(len(steps) - gen, sum(map(len, trees)))] if gen < len(steps) else []
+                want += [(len(steps) - gen, max(map(len, trees)))] if gen < len(steps) else []
                 mixed += 0 < gen < len(steps)
             assert shapes == want
         assert (mixed == 0) == bool(flags.get("generate_only"))
@@ -865,17 +866,17 @@ class TestLockstepSampling:
     def test_first_step_frequencies_match_each_lone_tree(self, flags):
         encoder, decoder = TestLockstep.model(flags)
         trees = self.chunk()
-        encoded = list(zip(encoder.encode_batch(trees), trees))
+        forest = encoder.encode_forest(trees)
         draws = 3000
         counts = [{} for _ in trees]
         rng = np.random.default_rng(61)
         for _ in range(draws):
-            for count, trajectory in zip(counts, decoder.decode_sample_batch(encoded, rng, 1)):
+            for count, trajectory in zip(counts, decoder.decode_sample_batch(forest, rng, 1)):
                 step = trajectory.steps[0]
                 count[step.action, step.choice] = count.get((step.action, step.choice), 0) + 1
-        for (enc, tree), count in zip(encoded, counts):
+        for t, (tree, count) in enumerate(zip(trees, counts)):
             with ad.no_grad():
-                out = StepOracle(decoder, enc, tree).step(BOS)
+                out = StepOracle(decoder, forest.output(t), tree).step(BOS)
             gen = out.gen_probs.data[0]
             if out.copy_probs is None or not out.copy_probs.data[0].any():
                 p_op, copy = {OP_GEN: 1.0}, np.zeros(len(tree))
@@ -895,38 +896,36 @@ class TestLockstepSampling:
                 se = np.sqrt(p * (1.0 - p) / draws)
                 assert abs(hits / draws - p) <= 4.0 * se + 1e-12, (hits, p)
 
-    def test_training_batch_samples_one_rollout_per_chunk(self, monkeypatch):
+    def test_training_batch_samples_in_one_rollout(self, monkeypatch):
         from treecomment.corpus import Example
         from treecomment.training import EVAL_BATCH, _objective, reward_function
         encoder, decoder = TestLockstep.model({})
         rng = np.random.default_rng(62)
         examples = [Example(tree=random_tree(rng), comment=("alpha",))
                     for _ in range(EVAL_BATCH + 1)]
-        chunks, rollout = [], decoder._rollout
+        rollouts, rollout = [], decoder._rollout
 
-        def counted(encoded, *args, **kwargs):
-            chunks.append(rollout(encoded, *args, **kwargs))
-            return chunks[-1]
+        def counted(forest, *args, **kwargs):
+            rollouts.append(rollout(forest, *args, **kwargs))
+            return rollouts[-1]
 
         monkeypatch.setattr(decoder, "_rollout", counted)
         _, parts = _objective(examples, encoder, decoder, None, 0.5, np.random.default_rng(63),
                               reward_function("bleu4"))
-        assert [len(chunk) for chunk in chunks] == [EVAL_BATCH, 1]
-        # the chunks draw from one generator, in turn
+        assert [len(trajectories) for trajectories in rollouts] == [EVAL_BATCH + 1]
+        # the batch's forest, sampled from the step's generator
         monkeypatch.undo()
         forest = encoder.encode_forest([ex.tree for ex in examples])
-        encoded = [(forest.output(i), ex.tree) for i, ex in enumerate(examples)]
-        rng = np.random.default_rng(63)
-        want = decoder.decode_sample_batch(encoded[:-1], rng) + \
-            decoder.decode_sample_batch(encoded[-1:], rng)
-        assert [hex_steps(t) for chunk in chunks for t in chunk] == [hex_steps(t) for t in want]
+        want = decoder.decode_sample_batch(forest, np.random.default_rng(63))
+        assert [hex_steps(t) for t in rollouts[0]] == [hex_steps(t) for t in want]
         steps = [s for t in want for s in t.steps]
         assert parts["copy_rate"] == sum(s.action == OP_COPY for s in steps) / len(steps)
 
     def test_empty_inputs(self):
         encoder, decoder = TestLockstep.model({})
         tree = parse_sql("SELECT col FROM t")
-        assert decoder.decode_sample_batch([], np.random.default_rng(0)) == []
+        assert decoder.decode_sample_batch(encoder.encode_forest([]),
+                                           np.random.default_rng(0)) == []
         forest = encoder.encode_forest([tree])
         for call in (lambda: decoder.score_trajectory(forest, []),
                      lambda: decoder.teacher_forced(forest, [])):

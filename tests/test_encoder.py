@@ -262,8 +262,9 @@ class TestGradients:
 
 
 class TestBatch:
-    """``encode_batch`` runs one op over the trees of a batch; each tree's
-    rows must equal what it gets alone, and the typed per-node reference."""
+    """``encode_forest`` runs one op over the trees of a batch; each tree's
+    rows (``Forest.output``) must equal what it gets alone, and the typed
+    per-node reference."""
 
     @pytest.mark.parametrize("tied", [False, True])
     def test_typed_states_equal_per_node_reference(self, tied):
@@ -271,7 +272,9 @@ class TestBatch:
         store, encoder, _ = make_model(seed=15)
         encoder.config.tie_forget_slots = tied
         trees = [random_tree(rng, max_depth=4) for _ in range(6)]
-        for tree, out in zip(trees, encoder.encode_batch(trees)):
+        forest = encoder.encode_forest(trees)
+        for t, tree in enumerate(trees):
+            out = forest.output(t)
             h, c = typed_reference(tree, store, encoder.vocab, encoder.config.hidden_size,
                                    tied=tied)
             assert np.allclose(out.hidden.data, h, rtol=0.0, atol=1e-12)
@@ -291,7 +294,7 @@ class TestBatch:
 
         for k, tree in enumerate(trees):
             store.zero_grads()
-            batched = encoder.encode_batch(trees)[k]
+            batched = encoder.encode_forest(trees).output(k)
             probe(batched).backward()
             grads = {name: t.grad.copy() for name, t in store.items()}
             store.zero_grads()
@@ -310,12 +313,12 @@ class TestBatch:
                                     *(Node(i, "string", ("alpha",), ()) for i in range(1, 6))),
                              grammar="wikisql")
         with pytest.raises(ValueError, match="arity"):
-            encoder.encode_batch([good, wide])
+            encoder.encode_forest([good, wide])
         assert store.names() == built
 
     def test_empty_batch(self):
         _, encoder, _ = make_model()
-        assert encoder.encode_batch([]) == []
+        assert encoder.encode_forest([]).trees == []
 
 
 class TestEncoderTape:
@@ -330,7 +333,9 @@ class TestEncoderTape:
         for count, depth in ((1, 1), (3, 4), (10, 3)):
             trees = [random_tree(rng, max_depth=depth) for _ in range(count)]
             calls.clear()
-            encoder.encode_batch(trees)
+            forest = encoder.encode_forest(trees)
+            for t in range(count):
+                forest.output(t)
             assert len(calls) == 2 + 3 * count
 
 
@@ -488,7 +493,7 @@ class TestPerGroupReference:
 
         monkeypatch.setattr(ad, "TreePlan", spy_plan)
         monkeypatch.setattr(ad, "tree_lstm", spy_op)
-        encoder.encode_batch(trees)
+        encoder.encode_forest(trees)
         for _, t in store.items():  # every weight is random, biases included
             t.data[...] = rng.normal(size=t.shape)
         store.zero_grads()

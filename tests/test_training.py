@@ -537,20 +537,20 @@ class TestBatchedObjective:
         for name, p in store.items():
             assert_close(batch_grads[name], p.grad, rtol=1e-10)
 
-        # the mixed objective: the batch is sampled in lockstep, one rollout
-        # per chunk; scoring each example alone with its own sample from the
-        # batch gives the batch's per-example values and gradients
+        # the mixed objective: the batch is sampled in one lockstep rollout;
+        # scoring each example alone with its own sample from the batch
+        # gives the batch's per-example values and gradients
         cfg = TrainConfig(total_steps=10, hidden_size=6)
         sampled, chunks = [], []
         sample_batch, rollout = decoder.decode_sample_batch, decoder._rollout
 
         def sample_chunk(*args, **kw):
             sampled.extend(sample_batch(*args, **kw))
-            return sampled[-len(args[0]):]
+            return sampled[-len(args[0].trees):]
 
-        def rollout_chunk(encoded, *args, **kw):
-            chunks.append(len(encoded))
-            return rollout(encoded, *args, **kw)
+        def rollout_chunk(forest, *args, **kw):
+            chunks.append(len(forest.trees))
+            return rollout(forest, *args, **kw)
 
         decoder.decode_sample_batch, decoder._rollout = sample_chunk, rollout_chunk
         store.zero_grads()
